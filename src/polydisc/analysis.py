@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import ntheory
-from .closedform import x_dx_minus_1
+from .closedform import bsw_discriminator, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
 from .discriminator import DiscriminatorResult, is_discriminating, scan
 from .poly import Polynomial
 
@@ -164,3 +164,90 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
                 violations.append((n, m))
             m += 1
     return violations
+
+
+# Known small-n disagreements between the even-exponent power formula and the
+# oracle, keyed by exponent j: (n, oracle value, formula value). The formula's
+# validity threshold is n > 4 for j = 2 and n > 8 for j = 4; verification
+# treats these as documented exceptions, not failures.
+KNOWN_POWER_FORMULA_EXCEPTIONS = {
+    2: ((1, 1, 3), (2, 2, 4), (4, 9, 10)),
+    4: ((1, 1, 3), (2, 2, 4), (4, 9, 11), (8, 18, 19)),
+    6: ((1, 1, 3), (2, 2, 4)),
+}
+
+DEFAULT_SEED = 20260824
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one theorem check: a one-line summary plus documented notes."""
+
+    ok: bool
+    message: str
+    notes: tuple[str, ...] = ()
+
+
+def _check_power_family(ds: Sequence[int], n_max: int, claim: str) -> Verdict:
+    """Theorems 1 and 2: the oracle equals sun_power_formula for x(dx - 1)."""
+    for d in ds:
+        for res in scan(x_dx_minus_1(d), n_max):
+            expected = sun_power_formula(d, res.n)
+            if res.value != expected:
+                return Verdict(
+                    False, f"counterexample d={d} n={res.n}: oracle {res.value}, formula {expected}"
+                )
+    return Verdict(True, f"{claim} for all n <= {n_max}")
+
+
+def _check_theorem5(n_max: int) -> Verdict:
+    """Bremser-Schumer-Washington for x^j: one warm-started scan per exponent."""
+    notes = []
+    for j in (2, 3, 4, 5, 6, 9):
+        known = KNOWN_POWER_FORMULA_EXCEPTIONS.get(j, ())
+        for res in scan(Polynomial.from_coeffs([0] * j + [1]), n_max):
+            formula = bsw_discriminator(j, res.n)
+            if res.value == formula:
+                continue
+            detail = f"j={j} n={res.n}: oracle {res.value}, formula {formula}"
+            if (res.n, res.value, formula) not in known:
+                return Verdict(False, f"counterexample {detail}")
+            notes.append(f"known small-n exception {detail}")
+    return Verdict(
+        True,
+        f"power formula matched the oracle for n <= {n_max} outside {len(notes)} known small-n exceptions",
+        tuple(notes),
+    )
+
+
+def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAULT_SEED) -> Verdict:
+    """Check one of the paper's Theorems 1-5 against the brute-force oracle.
+
+    `n_max` defaults per theorem; Theorem 3 clamps it to [15, 200] and
+    Theorem 4 ignores it, sampling 200 seeded (f, p, n) instead.
+    """
+    if theorem not in (1, 2, 3, 4, 5):
+        raise ValueError(f"unknown theorem {theorem}")
+    if n_max is None:
+        n_max = {1: 243, 2: 128, 3: 200, 5: 100}.get(theorem)
+    if theorem == 1:
+        return _check_power_family((3,), n_max, "d=3: oracle equals 3^ceil(log3 n)")
+    if theorem == 2:
+        return _check_power_family((2, 4, 8, 16), n_max, "d in {2,4,8,16}: oracle equals 2^ceil(log2 n)")
+    if theorem == 3:
+        n_max = max(15, min(n_max, 200))  # desk-scale cap; the inner loop is O(n*m)
+        violations = check_theorem3(n_max)
+        if violations:
+            n, m = violations[0]
+            return Verdict(False, f"counterexample n={n} m={m}: discriminating but neither prime nor 2^k")
+        return Verdict(True, f"no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= {n_max}")
+    if theorem == 4:
+        trials = 200
+        for report in sample_sandwich_trials(trials, seed):
+            if not report.holds:
+                return Verdict(False, (
+                    f"counterexample f={report.f} p={report.p} n={report.n}: "
+                    f"D_f={report.d_f}, D_pf={report.d_pf}"
+                ))
+        return Verdict(True, f"sandwich D_f <= D_pf <= p*D_f held for {trials} random (f, p, n)")
+    return _check_theorem5(n_max)

@@ -3,27 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import analysis, closedform, ntheory
-from .discriminator import SearchBounds, compute, scan
+from .discriminator import BoundViolationError, SearchBounds, compute, scan
 from .poly import Polynomial, PolynomialSyntaxError, parse_poly_input
-
-# Known small-n disagreements between the even-exponent power formula and the
-# oracle, keyed by exponent j: (n, oracle value, formula value). The formula's
-# validity threshold is n > 4 for j = 2 and n > 8 for j = 4; verification
-# treats these as documented exceptions, not failures.
-KNOWN_POWER_FORMULA_EXCEPTIONS = {
-    2: ((1, 1, 3), (2, 2, 4), (4, 9, 10)),
-    4: ((1, 1, 3), (2, 2, 4), (4, 9, 11), (8, 18, 19)),
-    6: ((1, 1, 3), (2, 2, 4)),
-}
-
-# The prime-family formulas are verified from this n onward; smaller n are
-# reported as notes (the 4x(4x-1) and 18x(3x-1) forms disagree below it).
-FAMILY_VALID_FROM = 5
 
 
 class CLIError(Exception):
@@ -75,15 +60,11 @@ def _cmd_compute(args) -> int:
     f = _read_poly(args.poly)
     if args.n < 1:
         raise CLIError("--n must be >= 1")
-    if args.lower is None and args.upper is None:
-        bounds = "auto"
-    else:
+    bounds = None
+    if args.lower is not None or args.upper is not None:
         lower = args.lower if args.lower is not None else 1
         upper = args.upper + 1 if args.upper is not None else None  # inclusive flag
-        try:
-            bounds = SearchBounds(lower=lower, upper=upper)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        bounds = SearchBounds(lower=lower, upper=upper)
     result = compute(f, args.n, bounds)
     print(f"D = {result.value}" if result.exists else "D = infinity")
     return 0
@@ -139,108 +120,22 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    if args.family not in closedform.FAMILIES:
-        raise CLIError(f"unknown family {args.family!r}")
     if args.count < 1:
         raise CLIError("--count must be >= 1")
-    family = closedform.FAMILIES[args.family]
-    emitted = 0
-    last = None
-    n = FAMILY_VALID_FROM
-    status = 0
-    while emitted < args.count:
-        formula = closedform.sun_prime_discriminator(family, n)
-        oracle = compute(family.polynomial, n).value
-        if formula != oracle:
-            print(
-                f"mismatch at n={n}: formula {formula}, oracle {oracle}",
-                file=sys.stderr,
-            )
-            status = 2
-        if formula != last:
-            print(formula)
-            last = formula
-            emitted += 1
-        n += 1
-    return status
-
-
-# --- verify ----------------------------------------------------------------
-
-def _verify_theorem1(n_max: int) -> tuple[bool, str]:
-    results = scan(closedform.x_dx_minus_1(3), n_max)
-    for res in results:
-        expected = closedform.sun_power_formula(3, res.n)
-        if res.value != expected:
-            return False, f"counterexample d=3 n={res.n}: oracle {res.value}, formula {expected}"
-    return True, f"d=3: oracle equals 3^ceil(log3 n) for all n <= {n_max}"
-
-
-def _verify_theorem2(n_max: int) -> tuple[bool, str]:
-    for d in (2, 4, 8, 16):
-        results = scan(closedform.x_dx_minus_1(d), n_max)
-        for res in results:
-            expected = closedform.sun_power_formula(d, res.n)
-            if res.value != expected:
-                return False, f"counterexample d={d} n={res.n}: oracle {res.value}, formula {expected}"
-    return True, f"d in {{2,4,8,16}}: oracle equals 2^ceil(log2 n) for all n <= {n_max}"
-
-
-def _verify_theorem3(n_max: int) -> tuple[bool, str]:
-    n_max = max(15, min(n_max, 200))  # desk-scale cap; the inner loop is O(n*m)
-    violations = analysis.check_theorem3(n_max)
-    if violations:
-        n, m = violations[0]
-        return False, f"counterexample n={n} m={m}: discriminating but neither prime nor 2^k"
-    return True, f"no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= {n_max}"
-
-
-def _verify_theorem4(seed: int, trials: int = 200) -> tuple[bool, str]:
-    for report in closedform.sample_sandwich_trials(trials, seed):
-        if not report.holds:
-            return False, (
-                f"counterexample f={report.f} p={report.p} n={report.n}: "
-                f"D_f={report.d_f}, D_pf={report.d_pf}"
-            )
-    return True, f"sandwich D_f <= D_pf <= p*D_f held for {trials} random (f, p, n)"
-
-
-def _verify_theorem5(n_max: int) -> tuple[bool, str]:
-    notes = []
-    for j in (2, 3, 4, 5, 6, 9):
-        f = Polynomial.from_coeffs([0] * j + [1])
-        known = KNOWN_POWER_FORMULA_EXCEPTIONS.get(j, ())
-        for n in range(1, n_max + 1):
-            oracle = compute(f, n).value
-            formula = closedform.bsw_discriminator(j, n)
-            if oracle == formula:
-                continue
-            if (n, oracle, formula) in known:
-                notes.append(f"known small-n exception j={j} n={n}: oracle {oracle}, formula {formula}")
-                continue
-            return False, f"counterexample j={j} n={n}: oracle {oracle}, formula {formula}"
-    summary = f"power formula matched the oracle for n <= {n_max} outside {len(notes)} known small-n exceptions"
-    for note in notes:
-        print(f"note: {note}")
-    return True, summary
+    primes, mismatches = closedform.family_primes(closedform.FAMILIES[args.family], args.count)
+    for n, formula, oracle in mismatches:
+        print(f"mismatch at n={n}: formula {formula}, oracle {oracle}", file=sys.stderr)
+    for prime in primes:
+        print(prime)
+    return 2 if mismatches else 0
 
 
 def _cmd_verify(args) -> int:
-    n_max = args.n_max
-    if args.theorem == 1:
-        ok, msg = _verify_theorem1(n_max if n_max is not None else 243)
-    elif args.theorem == 2:
-        ok, msg = _verify_theorem2(n_max if n_max is not None else 128)
-    elif args.theorem == 3:
-        ok, msg = _verify_theorem3(n_max if n_max is not None else 200)
-    elif args.theorem == 4:
-        ok, msg = _verify_theorem4(args.seed)
-    elif args.theorem == 5:
-        ok, msg = _verify_theorem5(n_max if n_max is not None else 100)
-    else:
-        raise CLIError(f"unknown theorem {args.theorem}")
-    print(("PASS: " if ok else "FAIL: ") + msg)
-    return 0 if ok else 2
+    verdict = analysis.verify_theorem(args.theorem, args.n_max, args.seed)
+    for note in verdict.notes:
+        print(f"note: {note}")
+    print(("PASS: " if verdict.ok else "FAIL: ") + verdict.message)
+    return 0 if verdict.ok else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a theorem's property suite")
     p_verify.add_argument("--theorem", type=int, choices=(1, 2, 3, 4, 5), required=True)
     p_verify.add_argument("--n-max", type=int)
-    p_verify.add_argument("--seed", type=int, default=20260824)
+    p_verify.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="exceptions to 'prime or p^ceil(log_p n)'")
@@ -289,24 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # DISCRIM_THREADS caps worker count; execution is sequential, which
-    # satisfies any positive cap, but reject nonsense values up front.
-    threads = os.environ.get("DISCRIM_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"invalid DISCRIM_THREADS={threads!r}", file=sys.stderr)
-            return 1
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CLIError, ValueError, BoundViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ntheory
-from .discriminator import DiscriminatorResult, compute
+from .discriminator import compute
 from .poly import Polynomial
 
 
@@ -109,6 +109,33 @@ def sun_prime_discriminator(family: PrimeFamily, n: int) -> int:
     return ntheory.next_prime_satisfying(
         family.threshold_floor(n), family.residue, family.modulus
     )
+
+
+# The prime-family formulas are verified from this n onward; the 4x(4x-1)
+# and 18x(3x-1) forms disagree with the oracle below it.
+FAMILY_VALID_FROM = 5
+
+
+def family_primes(
+    family: PrimeFamily, count: int
+) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
+    """The first `count` distinct formula values from n = FAMILY_VALID_FROM on.
+
+    Each n is cross-checked against the oracle; returns the primes and the
+    (n, formula, oracle) mismatches, which the theorem predicts are none.
+    """
+    primes: list[int] = []
+    mismatches: list[tuple[int, int, Optional[int]]] = []
+    n = FAMILY_VALID_FROM
+    while len(primes) < count:
+        formula = sun_prime_discriminator(family, n)
+        oracle = compute(family.polynomial, n).value
+        if formula != oracle:
+            mismatches.append((n, formula, oracle))
+        if not primes or formula != primes[-1]:
+            primes.append(formula)
+        n += 1
+    return primes, mismatches
 
 
 @dataclass(frozen=True)

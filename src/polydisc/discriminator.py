@@ -7,7 +7,7 @@ distinct mod m, or nonexistent when the values themselves collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .poly import Polynomial
 
@@ -81,37 +81,35 @@ def trivial_upper_bound(f: Polynomial, n: int) -> Optional[int]:
     return max(values) - min(values) + 1
 
 
+def _least_modulus(f: Polynomial, n: int, lower: int, upper: int) -> DiscriminatorResult:
+    """The least m in [lower, upper) under which f(1..n) are pairwise distinct."""
+    for m in range(lower, upper):
+        if is_discriminating(f, n, m):
+            return DiscriminatorResult(m, n, m - lower + 1)
+    raise BoundViolationError(f"no discriminating modulus in [{lower}, {upper}) at n={n}")
+
+
 def compute(
     f: Polynomial,
     n: int,
-    bounds: Union[SearchBounds, str, None] = "auto",
+    bounds: Optional[SearchBounds] = None,
 ) -> DiscriminatorResult:
     """Ascending scan for the minimal discriminating modulus.
 
-    With "auto" bounds the scan starts at n (pigeonhole lower bound) and is
+    Without bounds the scan starts at n (pigeonhole lower bound) and is
     capped by the trivial spread bound, so it always terminates. Explicit
-    bounds are validated: exhausting a caller-supplied upper while the
-    trivial bound proves a value exists raises BoundViolationError.
+    bounds are validated: exhausting a caller-supplied upper raises
+    BoundViolationError, since the trivial bound proves a value exists.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tub = trivial_upper_bound(f, n)
     if tub is None:
         return DiscriminatorResult(None, n, 0)
-    if bounds is None or bounds == "auto":
-        lower, upper = max(n, 1), tub + 1
-    else:
-        lower, upper = bounds.lower, bounds.upper
-        if upper is None:
-            upper = max(tub + 1, lower + 1)
-    tested = 0
-    for m in range(lower, upper):
-        tested += 1
-        if is_discriminating(f, n, m):
-            return DiscriminatorResult(m, n, tested)
-    raise BoundViolationError(
-        f"no discriminating modulus in [{lower}, {upper}) although one exists below {tub + 1}"
-    )
+    if bounds is None:
+        return _least_modulus(f, n, n, tub + 1)
+    upper = bounds.upper if bounds.upper is not None else max(tub + 1, bounds.lower + 1)
+    return _least_modulus(f, n, bounds.lower, upper)
 
 
 def scan(
@@ -145,18 +143,7 @@ def scan(
         hi = vmax - vmin + 2
         if upper_bound is not None:
             hi = min(hi, upper_bound(n) + 1)
-        lower = max(prev, n)
-        tested = 0
-        value = None
-        for m in range(lower, hi):
-            tested += 1
-            if is_discriminating(f, n, m):
-                value = m
-                break
-        if value is None:
-            raise BoundViolationError(
-                f"upper bound exhausted at n={n} (scanned [{lower}, {hi}))"
-            )
-        results.append(DiscriminatorResult(value, n, tested))
-        prev = value
+        result = _least_modulus(f, n, max(prev, n), hi)
+        results.append(result)
+        prev = result.value
     return results

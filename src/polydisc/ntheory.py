@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Optional
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -129,16 +128,6 @@ def is_squarefree(n: int) -> bool:
     if n < 1:
         raise ValueError("is_squarefree requires n >= 1")
     return all(e == 1 for _, e in factorize(n))
-
-
-def mod_inverse(a: int, m: int) -> Optional[int]:
-    """Inverse of a mod m in [1, m), or None when gcd(a, m) > 1."""
-    if m < 2:
-        raise ValueError("mod_inverse requires m >= 2")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        return None
 
 
 def ceil_log(base: int, n: int) -> int:

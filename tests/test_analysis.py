@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polydisc import analysis
 from polydisc import (
     Kind,
     check_conjecture1,
@@ -14,6 +15,8 @@ from polydisc import (
     x_dx_minus_1,
 )
 from polydisc.ntheory import factorize, is_prime
+
+from tables import POWER_FORMULA_SMALL_N
 
 
 class TestClassifyValue:
@@ -134,3 +137,18 @@ class TestTheorem3:
     def test_below_range_rejected(self):
         with pytest.raises(ValueError):
             check_theorem3(14)
+
+
+class TestVerifyTheorem:
+    def test_counterexample_fails(self, monkeypatch):
+        real = analysis.sun_power_formula
+        monkeypatch.setattr(analysis, "sun_power_formula", lambda d, n: real(d, n) + (n == 10))
+        verdict = analysis.verify_theorem(1, 27)
+        assert not verdict.ok
+        assert verdict.message == "counterexample d=3 n=10: oracle 27, formula 28"
+
+    def test_theorem5_notes_are_the_exception_table(self):
+        verdict = analysis.verify_theorem(5, 100)
+        assert verdict.ok and len(verdict.notes) == 9
+        table = {j: list(v) for j, v in analysis.KNOWN_POWER_FORMULA_EXCEPTIONS.items()}
+        assert table == POWER_FORMULA_SMALL_N

@@ -1,5 +1,6 @@
 import pytest
 
+from polydisc import analysis, closedform
 from polydisc.cli import main
 
 from tables import TABLE3
@@ -152,12 +153,116 @@ class TestExitCodes:
         )
         assert status == 1 and err
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISCRIM_THREADS", "zero")
-        status, _, err = run(capsys, "compute", "--poly", "x", "--n", "1")
-        assert status == 1 and "DISCRIM_THREADS" in err
+    def test_upper_below_d(self, capsys):
+        # D = 223 here; a caller-supplied cap below it is a bad argument
+        status, out, err = run(
+            capsys, "compute", "--poly", "x*(27*x-1)", "--n", "95", "--upper", "200"
+        )
+        assert status == 1 and out == ""
+        assert err == "error: no discriminating modulus in [1, 201) at n=95\n"
 
-    def test_good_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISCRIM_THREADS", "4")
-        status, out, _ = run(capsys, "compute", "--poly", "x", "--n", "1")
-        assert status == 0 and out == "D = 1\n"
+    @pytest.mark.parametrize("theorem", [1, 2, 5])
+    def test_verify_n_max_below_one(self, capsys, theorem):
+        status, out, err = run(capsys, "verify", "--theorem", str(theorem), "--n-max", "0")
+        assert (status, out, err) == (1, "", "error: n_max must be >= 1\n")
+
+
+class TestFailurePaths:
+    def test_verify_counterexample_exits_2(self, capsys, monkeypatch):
+        real = analysis.sun_power_formula
+        monkeypatch.setattr(analysis, "sun_power_formula", lambda d, n: real(d, n) + (n == 10))
+        status, out, err = run(capsys, "verify", "--theorem", "1", "--n-max", "27")
+        assert status == 2 and err == ""
+        assert out == "FAIL: counterexample d=3 n=10: oracle 27, formula 28\n"
+
+    def test_primes_mismatch_exits_2(self, capsys, monkeypatch):
+        real = closedform.sun_prime_discriminator
+        monkeypatch.setattr(
+            closedform, "sun_prime_discriminator", lambda family, n: real(family, n) + (n == 6)
+        )
+        status, out, err = run(capsys, "primes", "--family", "2xx1", "--count", "3")
+        assert status == 2
+        assert out == "11\n12\n13\n"
+        assert err == "mismatch at n=6: formula 12, oracle 11\n"
+
+
+SCAN_CSV = (
+    "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,4,7,prime\n"
+    "5,5,15,composite_other\n6,10,19,prime\n11,12,29,prime\n"
+)
+
+# Stdout, stderr and exit code of each invocation, recorded before the theorem
+# checks moved out of the CLI; the bytes must not drift.
+PINNED = [
+    (("compute", "--poly", "x*(27*x-1)", "--n", "95"), 0, "D = 223\n", ""),
+    (("compute", "--poly", "x*(4*x-1)", "--n", "5"), 0, "D = 8\n", ""),
+    (("compute", "--poly", "coeffs:0,-1,29", "--n", "5"), 0, "D = 15\n", ""),
+    (("compute", "--poly", "coeffs:0,-1,29", "--n", "5", "--lower", "1", "--upper", "100"),
+     0, "D = 15\n", ""),
+    (("compute", "--poly", "coeffs:0,-1,29", "--n", "5", "--lower", "16"), 0, "D = 17\n", ""),
+    (("compute", "--poly", "7", "--n", "2"), 0, "D = infinity\n", ""),
+    (("scan", "--poly", "x*(29*x-1)", "--n-max", "12"), 0, SCAN_CSV, ""),
+    (("scan", "--poly", "x*(29*x-1)", "--n-max", "12", "--format", "latex"), 0,
+     "\\begin{table}[ht]\n"
+     "\\caption{Discriminator values for $f(x) = 29*x^2 - x$, $n = 1, \\ldots, 12$.}\n"
+     "\\centering\n\\begin{tabular}{| c | c | c | c |}\n\\hline\n"
+     "$n$ & $D_f(n)$ & $n$ & $D_f(n)$ \\\\\n\\hline\n"
+     "1 & 1 & 5 & 15 \\\\\n2 & 3 & 6 - 10 & 19 \\\\\n3 - 4 & 7 & 11 - 12 & 29 \\\\\n"
+     "\\hline\n\\end{tabular}\n\\end{table}\n", ""),
+    (("table", "--family", "p=29,r=1", "--n-max", "80"), 0,
+     "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,4,7,prime\n"
+     "5,5,15,composite_other\n6,10,19,prime\n11,29,29,prime\n30,34,73,prime\n"
+     "35,43,97,prime\n44,47,109,prime\n48,61,131,prime\n62,62,151,prime\n"
+     "63,72,167,prime\n73,75,199,prime\n76,80,233,prime\n", ""),
+    (("table", "--family", "p=7,r=2", "--n-max", "60"), 0,
+     "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,7,7,prime\n"
+     "8,8,16,prime_power_other\n9,9,21,composite_other\n10,17,37,prime\n"
+     "18,18,41,prime\n19,49,49,power_of_p\n50,60,131,prime\n", ""),
+    (("verify", "--theorem", "1", "--n-max", "27"), 0,
+     "PASS: d=3: oracle equals 3^ceil(log3 n) for all n <= 27\n", ""),
+    (("verify", "--theorem", "2", "--n-max", "16"), 0,
+     "PASS: d in {2,4,8,16}: oracle equals 2^ceil(log2 n) for all n <= 16\n", ""),
+    (("verify", "--theorem", "3", "--n-max", "20"), 0,
+     "PASS: no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= 20\n", ""),
+    (("verify", "--theorem", "4", "--seed", "7"), 0,
+     "PASS: sandwich D_f <= D_pf <= p*D_f held for 200 random (f, p, n)\n", ""),
+    (("verify", "--theorem", "4", "--seed", "42"), 0,
+     "PASS: sandwich D_f <= D_pf <= p*D_f held for 200 random (f, p, n)\n", ""),
+    (("verify", "--theorem", "5", "--n-max", "12"), 0,
+     "note: known small-n exception j=2 n=1: oracle 1, formula 3\n"
+     "note: known small-n exception j=2 n=2: oracle 2, formula 4\n"
+     "note: known small-n exception j=2 n=4: oracle 9, formula 10\n"
+     "note: known small-n exception j=4 n=1: oracle 1, formula 3\n"
+     "note: known small-n exception j=4 n=2: oracle 2, formula 4\n"
+     "note: known small-n exception j=4 n=4: oracle 9, formula 11\n"
+     "note: known small-n exception j=4 n=8: oracle 18, formula 19\n"
+     "note: known small-n exception j=6 n=1: oracle 1, formula 3\n"
+     "note: known small-n exception j=6 n=2: oracle 2, formula 4\n"
+     "PASS: power formula matched the oracle for n <= 12 outside 9 known small-n exceptions\n",
+     ""),
+    (("conjecture", "--p", "29", "--r", "1", "--n-max", "100"), 0,
+     "n=1 value=1 class=unit\nn=5 value=15 class=composite_other\n", ""),
+    (("primes", "--family", "2xx1", "--count", "5"), 0, "11\n13\n17\n19\n23\n", ""),
+    (("primes", "--family", "4x4x1", "--count", "5"), 0, "13\n17\n29\n37\n41\n", ""),
+    (("primes", "--family", "18x3x1", "--count", "5"), 0, "19\n31\n37\n43\n61\n", ""),
+    (("compute", "--poly", "x + *", "--n", "3"), 1, "",
+     "error: bad polynomial: unexpected token '*' (at position 4)\n"),
+    (("compute", "--poly", "x", "--n", "notanint"), 1, "",
+     "error: argument --n: invalid int value: 'notanint'\n"),
+    ((), 1, "", "error: the following arguments are required: command\n"),
+    (("compute", "--poly", "x", "--n", "5", "--lower", "10", "--upper", "4"), 1, "",
+     "error: inconsistent bounds: upper must exceed lower\n"),
+    (("table", "--family", "p=6,r=1", "--n-max", "10"), 1, "", "error: p=6 is not prime\n"),
+]
+
+
+@pytest.mark.parametrize("argv,status,out,err", PINNED, ids=[" ".join(c[0]) or "<none>" for c in PINNED])
+def test_pinned_bytes(capsys, argv, status, out, err):
+    assert run(capsys, *argv) == (status, out, err)
+
+
+def test_pinned_scan_out(capsys, tmp_path):
+    out_file = tmp_path / "t.csv"
+    argv = ("scan", "--poly", "x*(29*x-1)", "--n-max", "12")
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes().decode() == SCAN_CSV

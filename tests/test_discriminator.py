@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polydisc import (
     BoundViolationError,
@@ -114,7 +115,7 @@ class TestCompute:
 
     def test_candidates_tested_counts_scan(self):
         result = compute(x_dx_minus_1(29), 5)
-        # auto lower bound is n = 5; value 15 means 11 candidates were tried
+        # default lower bound is n = 5; value 15 means 11 candidates were tried
         assert result.candidates_tested == 15 - 5 + 1
 
     def test_inconsistent_bounds_rejected(self):
@@ -170,3 +171,37 @@ class TestScan:
     def test_bad_upper_bound_raises(self):
         with pytest.raises(BoundViolationError):
             scan(x_dx_minus_1(29), 6, upper_bound=lambda n: n)
+
+
+def naive_discriminator(f, n):
+    """Least m with no pairwise difference of f(1..n) divisible by m, or None."""
+    values = [f.evaluate(i) for i in range(1, n + 1)]
+    diffs = [b - a for i, a in enumerate(values) for b in values[i + 1:]]
+    if 0 in diffs:
+        return None
+    m = 1
+    while any(d % m == 0 for d in diffs):
+        m += 1
+    return m
+
+
+class TestSearchDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 14))
+    @example([], 3)  # zero polynomial
+    @example([4], 3)  # constant
+    @example([0, -3, 1], 6)  # x(x-3): f(1) = f(2)
+    def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max):
+        f = P(*coeffs)
+        results = scan(f, n_max)
+        prev = 1
+        for n in range(1, n_max + 1):
+            expected = naive_discriminator(f, n)
+            warm, cold = results[n - 1], compute(f, n)
+            assert warm.value == cold.value == expected
+            if expected is None:
+                assert warm.candidates_tested == cold.candidates_tested == 0
+                continue
+            assert cold.candidates_tested == expected - n + 1
+            assert warm.candidates_tested == expected - max(prev, n) + 1
+            prev = expected

@@ -1,7 +1,4 @@
-from math import gcd
-
 import pytest
-from hypothesis import given, strategies as st
 
 from polydisc import ntheory
 
@@ -76,21 +73,6 @@ class TestSquarefree:
         assert ntheory.is_squarefree(30)
         assert not ntheory.is_squarefree(12)
         assert ntheory.is_squarefree(1)
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert ntheory.mod_inverse(4, 7) == 2
-        assert ntheory.mod_inverse(1, 5) == 1
-        assert ntheory.mod_inverse(6, 9) is None
-
-    @given(st.integers(min_value=-100, max_value=100), st.integers(min_value=2, max_value=500))
-    def test_inverse_property(self, a, m):
-        b = ntheory.mod_inverse(a, m)
-        if gcd(a, m) == 1:
-            assert b is not None and 1 <= b < m and a * b % m == 1
-        else:
-            assert b is None
 
 
 class TestCeilLog:
