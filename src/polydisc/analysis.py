@@ -151,15 +151,16 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
     """
     if n_max < 15:
         raise ValueError("check_theorem3 requires n_max >= 15")
-    f = Polynomial.from_coeffs([0, -1, 1])
+    values = Polynomial.from_coeffs([0, -1, 1]).values(n_max)
     violations: list[tuple[int, int]] = []
     for n in range(15, n_max + 1):
+        prefix = values[:n]
         m = 1
         while 10 * m <= 24 * n:
             if (
                 not ntheory.is_prime(m)
                 and m & (m - 1) != 0
-                and is_discriminating(f, n, m)
+                and is_discriminating(prefix, m)
             ):
                 violations.append((n, m))
             m += 1

@@ -1,18 +1,17 @@
 """Brute-force discriminator oracle.
 
 D_f(n) is the least positive m under which f(1), ..., f(n) are pairwise
-distinct mod m, or nonexistent when the values themselves collide.
+distinct mod m, or nonexistent when the values themselves collide. Each
+search computes the exact values f(1..n) once and checks every candidate m
+by reducing those integers mod m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .poly import Polynomial
-
-# occupancy bytearray up to this modulus, hash set beyond
-_BITMAP_LIMIT = 1 << 22
 
 
 class BoundViolationError(RuntimeError):
@@ -46,47 +45,42 @@ class DiscriminatorResult:
         return self.value is not None
 
 
-def is_discriminating(f: Polynomial, n: int, m: int) -> bool:
-    """True iff f(1..n) are pairwise distinct mod m; exits on first collision."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    if m <= _BITMAP_LIMIT:
-        seen = bytearray(m)
-        for i in range(1, n + 1):
-            r = f.evaluate_mod(i, m)
-            if seen[r]:
-                return False
-            seen[r] = 1
-    else:
-        seen_set = set()
-        for i in range(1, n + 1):
-            r = f.evaluate_mod(i, m)
-            if r in seen_set:
-                return False
-            seen_set.add(r)
+def is_discriminating(values: Sequence[int], m: int) -> bool:
+    """True iff the integers in `values` are pairwise distinct mod m.
+
+    Exits on the first repeated residue; memory grows with len(values),
+    never with m.
+    """
+    if not values or m < 1:
+        raise ValueError("values must be nonempty and m must be >= 1")
+    seen = set()
+    for v in values:
+        r = v % m
+        if r in seen:
+            return False
+        seen.add(r)
     return True
 
 
-def trivial_upper_bound(f: Polynomial, n: int) -> Optional[int]:
-    """max - min + 1 of f(1..n) when those values are distinct, else None.
+def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
+    """max - min + 1 of `values` when they are distinct, else None.
 
-    Any m at or above the spread fits the n distinct values into distinct
+    Any m at or above the spread fits the distinct values into distinct
     residues, so the minimal discriminating m exists at or below this bound.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    values = [f.evaluate(i) for i in range(1, n + 1)]
-    if len(set(values)) < n:
+    if not values:
+        raise ValueError("values must be nonempty")
+    if len(set(values)) < len(values):
         return None
     return max(values) - min(values) + 1
 
 
-def _least_modulus(f: Polynomial, n: int, lower: int, upper: int) -> DiscriminatorResult:
-    """The least m in [lower, upper) under which f(1..n) are pairwise distinct."""
+def _least_modulus(values: Sequence[int], lower: int, upper: int) -> DiscriminatorResult:
+    """The least m in [lower, upper) under which `values` are pairwise distinct."""
     for m in range(lower, upper):
-        if is_discriminating(f, n, m):
-            return DiscriminatorResult(m, n, m - lower + 1)
-    raise BoundViolationError(f"no discriminating modulus in [{lower}, {upper}) at n={n}")
+        if is_discriminating(values, m):
+            return DiscriminatorResult(m, len(values), m - lower + 1)
+    raise BoundViolationError(f"no discriminating modulus in [{lower}, {upper}) at n={len(values)}")
 
 
 def compute(
@@ -103,13 +97,14 @@ def compute(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tub = trivial_upper_bound(f, n)
+    values = f.values(n)
+    tub = trivial_upper_bound(values)
     if tub is None:
         return DiscriminatorResult(None, n, 0)
     if bounds is None:
-        return _least_modulus(f, n, n, tub + 1)
+        return _least_modulus(values, n, tub + 1)
     upper = bounds.upper if bounds.upper is not None else max(tub + 1, bounds.lower + 1)
-    return _least_modulus(f, n, bounds.lower, upper)
+    return _least_modulus(values, bounds.lower, upper)
 
 
 def scan(
@@ -126,12 +121,14 @@ def scan(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     results: list[DiscriminatorResult] = []
+    values: list[int] = []  # f(1..n), grown in place
     seen_values: set[int] = set()
     vmin = vmax = None
     collided = False
     prev = 1
     for n in range(1, n_max + 1):
         v = f.evaluate(n)
+        values.append(v)
         if v in seen_values:
             collided = True
         seen_values.add(v)
@@ -143,7 +140,7 @@ def scan(
         hi = vmax - vmin + 2
         if upper_bound is not None:
             hi = min(hi, upper_bound(n) + 1)
-        result = _least_modulus(f, n, max(prev, n), hi)
+        result = _least_modulus(values, max(prev, n), hi)
         results.append(result)
         prev = result.value
     return results

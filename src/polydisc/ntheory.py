@@ -6,9 +6,10 @@ from math import gcd, isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Deterministic Miller-Rabin witness sets (threshold, bases); the last set
-# is proven correct for n < 3_317_044_064_679_887_385_961_981, well beyond
-# the 64-bit range.
+# Deterministic Miller-Rabin witness sets (threshold, bases): each set is
+# proven correct for every n below its threshold. The last threshold is the
+# least strong pseudoprime to all 13 of its bases; at and above it is_prime
+# runs BPSW instead.
 _MR_LADDER = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -24,9 +25,97 @@ _MR_LADDER = (
 
 _TRIAL_LIMIT = 10 ** 6
 
+# Pollard rho walks x -> x^2 + c for c = 1, 2, ...; a prime input fails
+# every walk, so the number of walks is capped.
+_RHO_MAX_C = 64
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: odd n > 2 is a strong probable prime to base a."""
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1; P = 1 and
+    Q = (1 - D) / 4. Writing n + 1 = d * 2^s, n passes when U_d = 0 or
+    V_(d * 2^r) = 0 for some 0 <= r < s (all mod n).
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+
+    def half(v: int) -> int:
+        v %= n
+        return (v + n) // 2 if v % 2 else v // 2
+
+    k = n + 1
+    s = 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_1 = 1, V_1 = P = 1; double and add along the bits of k
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = half(u + v), half(d * u + v)
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if v == 0:
+            return True
+    return False
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with proven witness sets)."""
+    """Primality test, deterministic below 3_317_044_064_679_887_385_961_981.
+
+    Below that bound Miller-Rabin runs with witness sets proven correct for
+    the range. From it on, the test is Baillie-PSW (Miller-Rabin to base 2
+    plus a strong Lucas test): no known counterexample, but not a proof.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -36,35 +125,20 @@ def is_prime(n: int) -> bool:
             return False
     if n < 41 * 41:
         return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    bases = _MR_LADDER[-1][1]
-    for threshold, witness_set in _MR_LADDER:
+    for threshold, bases in _MR_LADDER:
         if n < threshold:
-            bases = witness_set
-            break
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+            return all(_strong_probable_prime(n, a) for a in bases)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n > 1 (Floyd cycle, fixed seeds)."""
+    """A nontrivial factor of composite odd n > 1 (Floyd cycle, fixed seeds).
+
+    Raises ValueError when _RHO_MAX_C walks all fail, as they do for a prime.
+    """
     if n % 2 == 0:
         return 2
-    c = 1
-    while True:
+    for c in range(1, _RHO_MAX_C + 1):
         x = y = 2
         d = 1
         while d == 1:
@@ -74,7 +148,7 @@ def _pollard_rho(n: int) -> int:
             d = gcd(abs(x - y), n)
         if d != n:
             return d
-        c += 1
+    raise ValueError(f"no factor of {n} found in {_RHO_MAX_C} Pollard rho walks")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

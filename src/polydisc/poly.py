@@ -54,6 +54,10 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
+    def values(self, n: int) -> list[int]:
+        """The exact values [f(1), ..., f(n)]."""
+        return [self.evaluate(i) for i in range(1, n + 1)]
+
     def evaluate_mod(self, x: int, m: int) -> int:
         """Value mod m, reduced per Horner step; result in [0, m)."""
         if m < 1:
@@ -145,7 +149,13 @@ class Polynomial:
 # primary:= INT | 'x' | '(' expr ')'
 #
 # Exponents must be literal nonnegative integers; implicit multiplication
-# is rejected so the grammar stays unambiguous.
+# is rejected so the grammar stays unambiguous. Expansion is dense, so both
+# the exponent literal and the degree of every product and power are capped
+# and checked before expanding: text like x^99999999 is rejected at once
+# instead of building a hundred-million-term polynomial.
+
+MAX_EXPONENT = 1000
+MAX_DEGREE = 1000
 
 _SYMBOLS = "+-*^()"
 
@@ -202,8 +212,10 @@ class _Parser:
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.factor()
+            pos = self.take()[2]
+            rhs = self.factor()
+            _check_degree((acc.degree or 0) + (rhs.degree or 0), pos)
+            acc = acc * rhs
         return acc
 
     def factor(self) -> Polynomial:
@@ -219,6 +231,10 @@ class _Parser:
             kind, value, pos = self.take()
             if kind != "int":
                 raise PolynomialSyntaxError("exponent must be a nonnegative integer literal", pos)
+            # compare lengths first: int() refuses literals of 4300+ digits
+            if len(value.lstrip("0")) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
+                raise PolynomialSyntaxError(f"exponent exceeds the cap {MAX_EXPONENT}", pos)
+            _check_degree((base.degree or 0) * int(value), pos)
             base = base ** int(value)
         return base
 
@@ -235,6 +251,11 @@ class _Parser:
                 raise PolynomialSyntaxError("expected ')'", pos2)
             return inner
         raise PolynomialSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise PolynomialSyntaxError(f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -139,6 +139,18 @@ class TestExitCodes:
         status, _, err = run(capsys, "compute", "--poly", "x + *", "--n", "3")
         assert status == 1 and "error" in err
 
+    def test_huge_exponent(self, capsys):
+        status, out, err = run(capsys, "compute", "--poly", "x^99999999", "--n", "3")
+        assert (status, out) == (1, "")
+        assert err == "error: bad polynomial: exponent exceeds the cap 1000 (at position 2)\n"
+
+    def test_pseudoprime_p_rejected(self, capsys):
+        status, out, err = run(
+            capsys, "conjecture", "--p", "3317044064679887385961981", "--r", "1", "--n-max", "1"
+        )
+        assert (status, out) == (1, "")
+        assert err == "error: --p 3317044064679887385961981 is not prime\n"
+
     def test_bad_flag_value(self, capsys):
         status, _, _ = run(capsys, "compute", "--poly", "x", "--n", "notanint")
         assert status == 1

@@ -9,6 +9,7 @@ from polydisc import (
     SearchBounds,
     compute,
     is_discriminating,
+    parse_polynomial,
     scan,
     trivial_upper_bound,
     x_dx_minus_1,
@@ -22,13 +23,13 @@ def P(*coeffs):
 class TestIsDiscriminating:
     def test_hand_example(self):
         # f(1..5) = 3, 14, 33, 60, 95 -> 3, 6, 1, 4, 7 mod 8
-        assert is_discriminating(x_dx_minus_1(4), 5, 8)
+        assert is_discriminating(x_dx_minus_1(4).values(5), 8)
 
     def test_single_value_mod_one(self):
-        assert is_discriminating(P(5, 1), 1, 1)
+        assert is_discriminating(P(5, 1).values(1), 1)
 
     def test_two_values_mod_one(self):
-        assert not is_discriminating(P(5, 1), 2, 1)
+        assert not is_discriminating(P(5, 1).values(2), 1)
 
     def test_matches_naive_all_pairs(self):
         rng = random.Random(7)
@@ -42,7 +43,7 @@ class TestIsDiscriminating:
                 for a in range(n)
                 for b in range(a + 1, n)
             )
-            assert is_discriminating(f, n, m) == naive
+            assert is_discriminating(f.values(n), m) == naive
 
     def test_not_monotone_in_m(self):
         # distinctness mod m does not imply distinctness mod m+1; witness from
@@ -51,31 +52,67 @@ class TestIsDiscriminating:
         witnesses = [
             m
             for m in range(16, 40)
-            if is_discriminating(f, 8, m) and not is_discriminating(f, 8, m + 1)
+            if is_discriminating(f.values(8), m) and not is_discriminating(f.values(8), m + 1)
         ]
         assert witnesses
 
 
+def all_pairs_distinct(values, m):
+    return all((b - a) % m for i, a in enumerate(values) for b in values[i + 1:])
+
+
+# degree 8: f(40) is about 4.6e25, beyond int64
+WIDE_VALUES = parse_polynomial("(x^2+x+41)^4").values(40)
+BIG = 10 ** 40
+
+
+class TestValueSequence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-20, 20), min_size=1, max_size=30),  # repeats, negatives
+            st.lists(st.integers(-BIG, BIG), min_size=1, max_size=30),
+            st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
+        ),
+        st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30)),
+    )
+    @example([5], 1)
+    @example([3, 3], 10 ** 30)
+    @example([-1, 1], 2)
+    @example(WIDE_VALUES, 10 ** 30)
+    def test_matches_all_pairs(self, values, m):
+        assert is_discriminating(values, m) == all_pairs_distinct(values, m)
+
+    @pytest.mark.parametrize("values, m", [([], 5), ([1, 2], 0), ([1, 2], -3)])
+    def test_rejects_empty_values_and_bad_modulus(self, values, m):
+        with pytest.raises(ValueError):
+            is_discriminating(values, m)
+
+    def test_trivial_upper_bound_rejects_empty(self):
+        with pytest.raises(ValueError):
+            trivial_upper_bound([])
+
+
 class TestTrivialUpperBound:
     def test_identity(self):
-        assert trivial_upper_bound(P(0, 1), 10) == 10
+        assert trivial_upper_bound(P(0, 1).values(10)) == 10
 
     def test_square(self):
-        assert trivial_upper_bound(P(0, 0, 1), 3) == 9
+        assert trivial_upper_bound(P(0, 0, 1).values(3)) == 9
 
     def test_distinct_quadratic(self):
         # f = x(x-2): values -1, 0, 3 -> spread 5
-        assert trivial_upper_bound(P(0, -2, 1), 3) == 5
+        assert trivial_upper_bound(P(0, -2, 1).values(3)) == 5
 
     def test_collision_gives_none(self):
         # f = x(x-3): f(1) = -2 = f(2)
-        assert trivial_upper_bound(P(0, -3, 1), 2) is None
+        assert trivial_upper_bound(P(0, -3, 1).values(2)) is None
 
     def test_any_m_at_bound_discriminates(self):
         f = P(3, -5, 2)
         n = 12
-        b = trivial_upper_bound(f, n)
-        assert b is not None and is_discriminating(f, n, b)
+        b = trivial_upper_bound(f.values(n))
+        assert b is not None and is_discriminating(f.values(n), b)
 
 
 class TestCompute:
@@ -100,9 +137,9 @@ class TestCompute:
                 values = [f.evaluate(i) for i in range(1, n + 1)]
                 assert len(set(values)) < n
                 continue
-            assert is_discriminating(f, n, result.value)
+            assert is_discriminating(f.values(n), result.value)
             for m in range(1, result.value):
-                assert not is_discriminating(f, n, m)
+                assert not is_discriminating(f.values(n), m)
 
     def test_pigeonhole_lower_bound(self):
         rng = random.Random(13)
@@ -131,7 +168,7 @@ class TestCompute:
         result = compute(x_dx_minus_1(29), 5, SearchBounds(lower=16, upper=100))
         # D(5) = 15, but 17 is the least discriminating modulus at or above 16
         assert result.value == 17
-        assert not is_discriminating(x_dx_minus_1(29), 5, 16)
+        assert not is_discriminating(x_dx_minus_1(29).values(5), 16)
 
 
 class TestScan:

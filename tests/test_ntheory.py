@@ -30,6 +30,30 @@ class TestIsPrime:
         assert ntheory.is_prime(2 ** 61 - 1)
         assert not ntheory.is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
+    def test_strong_pseudoprime_to_every_ladder_base(self):
+        # the least strong pseudoprime to the 13 bases of the top witness set
+        n = 3_317_044_064_679_887_385_961_981
+        p, q = 1_287_836_182_261, 2_575_672_364_521
+        assert n == p * q
+        assert ntheory.is_prime(p) and ntheory.is_prime(q)
+        assert not ntheory.is_prime(n)
+        assert ntheory.factorize(n) == [(p, 1), (q, 1)]
+
+    def test_beyond_the_ladder(self):
+        assert ntheory.is_prime(2 ** 89 - 1)
+        assert ntheory.is_prime(2 ** 127 - 1)
+        assert not ntheory.is_prime(2 ** 101 - 1)  # 7432339208719 * 341117531003194129
+        assert not ntheory.is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+        assert not ntheory.is_prime((2 ** 61 - 1) ** 2)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # odd composites below 30000 passing the Selfridge strong Lucas test
+        # (OEIS A217255); it must pass every odd prime
+        flags = sieve(30000)
+        passing = [n for n in range(3, 30000, 2) if ntheory._strong_lucas_probable_prime(n)]
+        assert [n for n in passing if not flags[n]] == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+        assert [n for n in passing if flags[n]] == [n for n in range(3, 30000, 2) if flags[n]]
+
 
 class TestFactorize:
     def test_examples(self):
@@ -54,6 +78,10 @@ class TestFactorize:
     def test_rho_path_semiprime(self):
         p, q = 1_000_003, 1_000_033
         assert ntheory.factorize(p * q) == [(p, 1), (q, 1)]
+
+    def test_rho_gives_up_on_a_prime(self):
+        with pytest.raises(ValueError):
+            ntheory._pollard_rho(1_000_003)
 
 
 class TestEulerPhi:

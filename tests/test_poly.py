@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polydisc.poly import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
     Polynomial,
     PolynomialSyntaxError,
     parse_poly_input,
@@ -56,6 +58,23 @@ class TestParse:
     def test_rejects_implicit_multiplication(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("2x")
+
+    def test_exponent_cap(self):
+        assert parse_polynomial(f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+        assert parse_polynomial("x^0002") == P(0, 0, 1)
+        for exponent in (str(MAX_EXPONENT + 1), "99999999", "9" * 5000):
+            with pytest.raises(PolynomialSyntaxError) as exc:
+                parse_polynomial("2^" + exponent)
+            assert exc.value.position == 2
+
+    def test_degree_cap(self):
+        assert parse_polynomial("(x^2+x+41)^4").degree == 8
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(f"(x^100)^{MAX_DEGREE // 100 + 1}")
+        assert exc.value.position == 8
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(f"x^{MAX_DEGREE} * x")
+        assert exc.value.position == len(f"x^{MAX_DEGREE} ")
 
     def test_coeffs_form(self):
         assert parse_poly_input("coeffs:0,-1,27") == P(0, -1, 27)
@@ -146,6 +165,10 @@ class TestProperties:
            st.integers(min_value=-10, max_value=10))
     def test_scale_evaluation(self, f, c, x):
         assert f.scale(c).evaluate(x) == c * f.evaluate(x)
+
+    @given(small_poly, st.integers(min_value=0, max_value=30))
+    def test_values_are_evaluations(self, f, n):
+        assert f.values(n) == [f.evaluate(i) for i in range(1, n + 1)]
 
     @given(small_poly)
     def test_normalization_no_trailing_zero(self, f):
