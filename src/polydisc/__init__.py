@@ -2,9 +2,7 @@
 
 from .poly import Polynomial, PolynomialSyntaxError, parse_polynomial, parse_poly_input
 from .discriminator import (
-    BoundViolationError,
     DiscriminatorResult,
-    SearchBounds,
     compute,
     is_discriminating,
     scan,
@@ -38,9 +36,7 @@ __all__ = [
     "PolynomialSyntaxError",
     "parse_polynomial",
     "parse_poly_input",
-    "BoundViolationError",
     "DiscriminatorResult",
-    "SearchBounds",
     "compute",
     "is_discriminating",
     "scan",

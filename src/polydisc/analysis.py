@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import ntheory
-from .closedform import bsw_discriminator, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
+from .closedform import bsw_discriminator, lemma1_bound, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
 from .discriminator import DiscriminatorResult, is_discriminating, scan
 from .poly import Polynomial
 
@@ -80,6 +81,24 @@ def run_length_table(
     return RunTable(tuple(rows))
 
 
+def csv_prime(f: Polynomial, table: RunTable) -> int:
+    """The prime a CSV of f's `table` labels rows against: the largest prime
+    factor P of f's leading coefficient (2 when that is +-1).
+
+    Only a row q^k with k >= 2 reads the prime, and q <= B = isqrt(value).
+    Dividing out every q <= B leaves 1 exactly when P <= B; otherwise P is no
+    row's base, and the least prime above B labels every row as P would. The
+    work is bounded by the table's values, not by the coefficient's size.
+    """
+    lead = abs(f.coeffs[-1]) if f.coeffs else 1
+    bound = math.isqrt(max(value for _, _, value in table.rows))
+    largest = 2
+    for q in range(2, bound + 1):
+        while lead % q == 0:
+            largest, lead = q, lead // q
+    return largest if lead == 1 else ntheory.next_prime_satisfying(bound, 0, 1)
+
+
 def emit_csv(table: RunTable, p: int) -> str:
     """CSV `n_low,n_high,value,class` with the class column keyed to prime p."""
     lines = ["n_low,n_high,value,class"]
@@ -132,12 +151,10 @@ def check_conjecture1(
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("r must be >= 1")
-    f = x_dx_minus_1(p ** r)
     exceptions: list[tuple[int, int, ValueClass]] = []
-    for result in scan(f, n_max):
+    for result in scan(x_dx_minus_1(p ** r), n_max):
         v = result.value
-        expected_power = p ** ntheory.ceil_log(p, result.n)
-        if ntheory.is_prime(v) or (v > 1 and v == expected_power):
+        if ntheory.is_prime(v) or (v > 1 and v == lemma1_bound(p, r, result.n)):
             continue
         exceptions.append((result.n, v, classify_value(v, p)))
     return exceptions

@@ -7,8 +7,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, closedform, ntheory
-from .discriminator import BoundViolationError, SearchBounds, compute, scan
-from .poly import Polynomial, PolynomialSyntaxError, parse_poly_input
+from .discriminator import compute, scan
+from .poly import MAX_EXPONENT, Polynomial, PolynomialSyntaxError, parse_poly_input
 
 
 class CLIError(Exception):
@@ -30,7 +30,8 @@ def _read_poly(text: str) -> Polynomial:
 def _parse_family_spec(spec: str) -> tuple[int, int]:
     """Parse `p=<prime>,r=<int>` into (p, r)."""
     fields = {}
-    for part in spec.split(","):
+    parts = spec.split(",")
+    for part in parts:
         if "=" not in part:
             raise CLIError(f"bad --family spec {spec!r}, expected p=<prime>,r=<int>")
         key, _, value = part.partition("=")
@@ -38,13 +39,15 @@ def _parse_family_spec(spec: str) -> tuple[int, int]:
             fields[key.strip()] = int(value)
         except ValueError:
             raise CLIError(f"bad --family value {value!r}") from None
-    if set(fields) != {"p", "r"}:
+    if len(parts) != 2 or set(fields) != {"p", "r"}:
         raise CLIError(f"--family must give exactly p and r, got {spec!r}")
     p, r = fields["p"], fields["r"]
     if not ntheory.is_prime(p):
         raise CLIError(f"p={p} is not prime")
     if r < 1:
         raise CLIError("r must be >= 1")
+    if r > MAX_EXPONENT:
+        raise CLIError(f"r={r} exceeds the cap {MAX_EXPONENT}")
     return p, r
 
 
@@ -60,26 +63,16 @@ def _cmd_compute(args) -> int:
     f = _read_poly(args.poly)
     if args.n < 1:
         raise CLIError("--n must be >= 1")
-    bounds = None
-    if args.lower is not None or args.upper is not None:
-        lower = args.lower if args.lower is not None else 1
-        upper = args.upper + 1 if args.upper is not None else None  # inclusive flag
-        bounds = SearchBounds(lower=lower, upper=upper)
-    result = compute(f, args.n, bounds)
+    # an --upper alone caps the window [1, upper] that its error message names
+    lower = 1 if args.lower is None and args.upper is not None else args.lower
+    upper = args.upper + 1 if args.upper is not None else None  # inclusive flag
+    result = compute(f, args.n, lower, upper)
     print(f"D = {result.value}" if result.exists else "D = infinity")
     return 0
 
 
-def _family_prime_for_csv(f: Polynomial) -> int:
-    """Family prime for classification: largest prime factor of the leading
-    coefficient of x(dx-1)-shaped input, else 2 as a neutral default."""
-    lead = f.coeffs[-1] if f.coeffs else 1
-    factors = ntheory.factorize(abs(lead)) if abs(lead) > 1 else []
-    return factors[-1][0] if factors else 2
-
-
-def _cmd_scan(args) -> int:
-    f = _read_poly(args.poly)
+def _table(f: Polynomial, args, p: Optional[int] = None) -> int:
+    """Print D_f's run-length table for n <= --n-max; a CSV labels rows against p."""
     if args.n_max < 1:
         raise CLIError("--n-max must be >= 1")
     results = scan(f, args.n_max)
@@ -89,24 +82,18 @@ def _cmd_scan(args) -> int:
     if args.format == "latex":
         text = analysis.emit_latex(table, str(f), args.n_max)
     else:
-        text = analysis.emit_csv(table, _family_prime_for_csv(f))
+        text = analysis.emit_csv(table, p if p is not None else analysis.csv_prime(f, table))
     _emit(text, args.out)
     return 0
+
+
+def _cmd_scan(args) -> int:
+    return _table(_read_poly(args.poly), args)
 
 
 def _cmd_table(args) -> int:
     p, r = _parse_family_spec(args.family)
-    if args.n_max < 1:
-        raise CLIError("--n-max must be >= 1")
-    f = closedform.x_dx_minus_1(p ** r)
-    results = scan(f, args.n_max, upper_bound=lambda n: closedform.lemma1_bound(p, r, n))
-    table = analysis.run_length_table(results)
-    if args.format == "latex":
-        text = analysis.emit_latex(table, str(f), args.n_max)
-    else:
-        text = analysis.emit_csv(table, p)
-    _emit(text, args.out)
-    return 0
+    return _table(closedform.x_dx_minus_1(p ** r), args, p)
 
 
 def _cmd_conjecture(args) -> int:
@@ -114,6 +101,8 @@ def _cmd_conjecture(args) -> int:
         raise CLIError(f"--p {args.p} is not prime")
     if args.r < 1 or args.n_max < 1:
         raise CLIError("--r and --n-max must be >= 1")
+    if args.r > MAX_EXPONENT:
+        raise CLIError(f"--r {args.r} exceeds the cap {MAX_EXPONENT}")
     for n, value, cls in analysis.check_conjecture1(args.p, args.r, args.n_max):
         print(f"n={n} value={value} class={cls.kind.value}")
     return 0
@@ -151,17 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="run-length table of D over n = 1..n_max")
     p_scan.add_argument("--poly", required=True)
-    p_scan.add_argument("--n-max", type=int, required=True)
-    p_scan.add_argument("--format", choices=("csv", "latex"), default="csv")
-    p_scan.add_argument("--out")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_table = sub.add_parser("table", help="classified table for the family x(p^r x - 1)")
     p_table.add_argument("--family", required=True, metavar="p=<prime>,r=<int>")
-    p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--format", choices=("csv", "latex"), default="csv")
-    p_table.add_argument("--out")
     p_table.set_defaults(func=_cmd_table)
+    for p_run in (p_scan, p_table):  # both print a run-length table through _table
+        p_run.add_argument("--n-max", type=int, required=True)
+        p_run.add_argument("--format", choices=("csv", "latex"), default="csv")
+        p_run.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run a theorem's property suite")
     p_verify.add_argument("--theorem", type=int, choices=(1, 2, 3, 4, 5), required=True)
@@ -188,7 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CLIError, ValueError, BoundViolationError) as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,27 +9,10 @@ by reducing those integers mod m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import count
+from typing import Optional, Sequence
 
 from .poly import Polynomial
-
-
-class BoundViolationError(RuntimeError):
-    """A caller-supplied upper bound was exhausted although a value exists."""
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Candidate-modulus window: inclusive lower, exclusive upper (None = unbounded)."""
-
-    lower: int = 1
-    upper: Optional[int] = None
-
-    def __post_init__(self):
-        if self.lower < 1:
-            raise ValueError("lower bound must be >= 1")
-        if self.upper is not None and self.upper <= self.lower:
-            raise ValueError("inconsistent bounds: upper must exceed lower")
 
 
 @dataclass(frozen=True)
@@ -75,72 +58,63 @@ def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
     return max(values) - min(values) + 1
 
 
-def _least_modulus(values: Sequence[int], lower: int, upper: int) -> DiscriminatorResult:
-    """The least m in [lower, upper) under which `values` are pairwise distinct."""
-    for m in range(lower, upper):
+def _least_modulus(values: Sequence[int], lower: int, upper: Optional[int] = None) -> DiscriminatorResult:
+    """The least m >= lower (and < upper, when given) under which the distinct
+    integers `values` are pairwise distinct; exhausting `upper` raises ValueError.
+
+    Two distinct values differ by some d with 0 < |d| <= max - min, and no m
+    above that spread divides d, so every such m discriminates and the count
+    ends without a cap.
+    """
+    for m in count(lower) if upper is None else range(lower, upper):
         if is_discriminating(values, m):
             return DiscriminatorResult(m, len(values), m - lower + 1)
-    raise BoundViolationError(f"no discriminating modulus in [{lower}, {upper}) at n={len(values)}")
+    raise ValueError(f"no discriminating modulus in [{lower}, {upper}) at n={len(values)}")
 
 
 def compute(
-    f: Polynomial,
-    n: int,
-    bounds: Optional[SearchBounds] = None,
+    f: Polynomial, n: int, lower: Optional[int] = None, upper: Optional[int] = None
 ) -> DiscriminatorResult:
-    """Ascending scan for the minimal discriminating modulus.
+    """The least m >= lower (default n, the pigeonhole bound) that discriminates
+    f(1..n), or value None when those values collide.
 
-    Without bounds the scan starts at n (pigeonhole lower bound) and is
-    capped by the trivial spread bound, so it always terminates. Explicit
-    bounds are validated: exhausting a caller-supplied upper raises
-    BoundViolationError, since the trivial bound proves a value exists.
+    `upper`, when given, is an exclusive cap; the search needs none, so
+    exhausting it raises ValueError rather than returning a wrong value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if lower is None:
+        lower = n
+    elif lower < 1:
+        raise ValueError("lower bound must be >= 1")
+    if upper is not None and upper <= lower:
+        raise ValueError("inconsistent bounds: upper must exceed lower")
     values = f.values(n)
-    tub = trivial_upper_bound(values)
-    if tub is None:
+    if trivial_upper_bound(values) is None:
         return DiscriminatorResult(None, n, 0)
-    if bounds is None:
-        return _least_modulus(values, n, tub + 1)
-    upper = bounds.upper if bounds.upper is not None else max(tub + 1, bounds.lower + 1)
-    return _least_modulus(values, bounds.lower, upper)
+    return _least_modulus(values, lower, upper)
 
 
-def scan(
-    f: Polynomial,
-    n_max: int,
-    upper_bound: Optional[Callable[[int], int]] = None,
-) -> list[DiscriminatorResult]:
+def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
     """compute(f, n) for n = 1..n_max with monotone warm starts.
 
-    D_f(n) >= D_f(n-1), so each search resumes at the previous value.
-    `upper_bound`, when given, maps n to an inclusive cap on D_f(n) that the
-    caller guarantees (e.g. the p^ceil(log_p n) bound for x(p^r x - 1)).
+    D_f(n) >= D_f(n-1), so each search resumes at the previous value. Once
+    two values collide, D_f(n) is undefined for that n and every later one.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     results: list[DiscriminatorResult] = []
     values: list[int] = []  # f(1..n), grown in place
     seen_values: set[int] = set()
-    vmin = vmax = None
-    collided = False
     prev = 1
     for n in range(1, n_max + 1):
         v = f.evaluate(n)
-        values.append(v)
         if v in seen_values:
-            collided = True
+            results += [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
+            break
+        values.append(v)
         seen_values.add(v)
-        vmin = v if vmin is None else min(vmin, v)
-        vmax = v if vmax is None else max(vmax, v)
-        if collided:
-            results.append(DiscriminatorResult(None, n, 0))
-            continue
-        hi = vmax - vmin + 2
-        if upper_bound is not None:
-            hi = min(hi, upper_bound(n) + 1)
-        result = _least_modulus(values, max(prev, n), hi)
+        result = _least_modulus(values, max(prev, n))
         results.append(result)
         prev = result.value
     return results

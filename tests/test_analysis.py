@@ -5,6 +5,7 @@ import pytest
 from polydisc import analysis
 from polydisc import (
     Kind,
+    Polynomial,
     check_conjecture1,
     check_theorem3,
     classify_value,
@@ -99,6 +100,29 @@ class TestEmitCsv:
         assert lines[1] == "1,3,5,prime"
         assert lines[-1] == ""  # single trailing newline, no blank line
         assert not text.endswith("\n\n")
+
+
+class TestCsvPrime:
+    def test_labels_match_the_largest_prime_factor(self):
+        rng = random.Random(5)
+        primes = [q for q in range(2, 60) if is_prime(q)] + [1009, 10 ** 9 + 7]
+        for _ in range(300):
+            lead = rng.choice((1, -1))
+            for _ in range(rng.randint(0, 4)):
+                lead *= rng.choice(primes) ** rng.randint(1, 3)
+            values = sorted(
+                rng.choice(primes[:8]) ** rng.randint(1, 6) if rng.random() < 0.6 else rng.randint(1, 5000)
+                for _ in range(rng.randint(1, 12))
+            )
+            table = run_length_table(values)
+            f = Polynomial.from_coeffs([0, -1, lead])
+            full = factorize(abs(lead))[-1][0] if abs(lead) > 1 else 2
+            assert emit_csv(table, analysis.csv_prime(f, table)) == emit_csv(table, full), (lead, values)
+
+    def test_exact_when_a_row_has_the_prime_as_base(self):
+        # 98 = 2 * 7^2: the row 49 = 7^2 reads the prime, and 7 is exact
+        assert analysis.csv_prime(x_dx_minus_1(98), run_length_table([1, 16, 49])) == 7
+        assert analysis.csv_prime(Polynomial.from_coeffs([]), run_length_table([1])) == 2
 
 
 class TestEmitLatex:

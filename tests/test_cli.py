@@ -1,6 +1,6 @@
 import pytest
 
-from polydisc import analysis, closedform
+from polydisc import analysis, closedform, ntheory, scan
 from polydisc.cli import main
 
 from tables import TABLE3
@@ -173,6 +173,12 @@ class TestExitCodes:
         assert status == 1 and out == ""
         assert err == "error: no discriminating modulus in [1, 201) at n=95\n"
 
+    def test_exponent_cap_is_inclusive(self, capsys):
+        status, out, _ = run(capsys, "conjecture", "--p", "2", "--r", "1000", "--n-max", "20")
+        assert (status, out) == (0, "n=1 value=1 class=unit\n")
+        status, _, err = run(capsys, "table", "--family", "p=2,r=1001", "--n-max", "2")
+        assert (status, err) == (1, "error: r=1001 exceeds the cap 1000\n")
+
     @pytest.mark.parametrize("theorem", [1, 2, 5])
     def test_verify_n_max_below_one(self, capsys, theorem):
         status, out, err = run(capsys, "verify", "--theorem", str(theorem), "--n-max", "0")
@@ -203,6 +209,21 @@ SCAN_CSV = (
     "5,5,15,composite_other\n6,10,19,prime\n11,12,29,prime\n"
 )
 
+TABLE_7_2 = (
+    "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,7,7,prime\n"
+    "8,8,16,prime_power_other\n9,9,21,composite_other\n10,17,37,prime\n"
+    "18,18,41,prime\n19,49,49,power_of_p\n50,60,131,prime\n"
+)
+
+# 10000000000000000051 * 30000000000000000041: no trial division or rho walk
+# the labels need reaches either factor
+TWO_20_DIGIT_PRIMES = 10000000000000000051 * 30000000000000000041
+SCAN_CSV_20_DIGIT = (
+    "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,3,5,prime\n"
+    "4,4,12,composite_other\n5,5,15,composite_other\n6,9,19,prime\n"
+    "10,10,31,prime\n11,12,41,prime\n"
+)
+
 # Stdout, stderr and exit code of each invocation, recorded before the theorem
 # checks moved out of the CLI; the bytes must not drift.
 PINNED = [
@@ -226,10 +247,7 @@ PINNED = [
      "5,5,15,composite_other\n6,10,19,prime\n11,29,29,prime\n30,34,73,prime\n"
      "35,43,97,prime\n44,47,109,prime\n48,61,131,prime\n62,62,151,prime\n"
      "63,72,167,prime\n73,75,199,prime\n76,80,233,prime\n", ""),
-    (("table", "--family", "p=7,r=2", "--n-max", "60"), 0,
-     "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,7,7,prime\n"
-     "8,8,16,prime_power_other\n9,9,21,composite_other\n10,17,37,prime\n"
-     "18,18,41,prime\n19,49,49,power_of_p\n50,60,131,prime\n", ""),
+    (("table", "--family", "p=7,r=2", "--n-max", "60"), 0, TABLE_7_2, ""),
     (("verify", "--theorem", "1", "--n-max", "27"), 0,
      "PASS: d=3: oracle equals 3^ceil(log3 n) for all n <= 27\n", ""),
     (("verify", "--theorem", "2", "--n-max", "16"), 0,
@@ -265,12 +283,40 @@ PINNED = [
     (("compute", "--poly", "x", "--n", "5", "--lower", "10", "--upper", "4"), 1, "",
      "error: inconsistent bounds: upper must exceed lower\n"),
     (("table", "--family", "p=6,r=1", "--n-max", "10"), 1, "", "error: p=6 is not prime\n"),
+    # the --lower/--upper window's edges, recorded before the window object went
+    (("compute", "--poly", "x", "--n", "5", "--lower", "0"), 1, "",
+     "error: lower bound must be >= 1\n"),
+    (("compute", "--poly", "x", "--n", "5", "--lower", "0", "--upper", "-5"), 1, "",
+     "error: lower bound must be >= 1\n"),
+    (("compute", "--poly", "x", "--n", "5", "--upper", "3"), 1, "",
+     "error: no discriminating modulus in [1, 4) at n=5\n"),
+    (("compute", "--poly", "x", "--n", "5", "--lower", "3", "--upper", "3"), 1, "",
+     "error: no discriminating modulus in [3, 4) at n=5\n"),
+    (("compute", "--poly", "x", "--n", "5", "--lower", "1000"), 0, "D = 1000\n", ""),
+    (("compute", "--poly", "7", "--n", "2", "--upper", "3"), 0, "D = infinity\n", ""),
+    # a scan labels its CSV against the leading coefficient's largest prime, 7 here
+    (("scan", "--poly", "x*(49*x-1)", "--n-max", "60"), 0, TABLE_7_2, ""),
+    (("scan", "--poly", f"x*({TWO_20_DIGIT_PRIMES}*x-1)", "--n-max", "12"), 0, SCAN_CSV_20_DIGIT, ""),
+    # rejected at once: a repeated --family key, an r above poly.MAX_EXPONENT
+    (("table", "--family", "p=29,r=1,p=7", "--n-max", "8"), 1, "",
+     "error: --family must give exactly p and r, got 'p=29,r=1,p=7'\n"),
+    (("table", "--family", "p=29,r=10000000", "--n-max", "3"), 1, "",
+     "error: r=10000000 exceeds the cap 1000\n"),
+    (("conjecture", "--p", "29", "--r", "10000000", "--n-max", "3"), 1, "",
+     "error: --r 10000000 exceeds the cap 1000\n"),
 ]
 
 
 @pytest.mark.parametrize("argv,status,out,err", PINNED, ids=[" ".join(c[0]) or "<none>" for c in PINNED])
 def test_pinned_bytes(capsys, argv, status, out, err):
     assert run(capsys, *argv) == (status, out, err)
+
+
+def test_scan_labels_follow_the_full_factorization():
+    p, q = 10000000000000000051, 30000000000000000041
+    assert ntheory.is_prime(p) and ntheory.is_prime(q)
+    table = analysis.run_length_table(scan(closedform.x_dx_minus_1(p * q), 12))
+    assert analysis.emit_csv(table, q) == SCAN_CSV_20_DIGIT
 
 
 def test_pinned_scan_out(capsys, tmp_path):

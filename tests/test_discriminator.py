@@ -4,9 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polydisc import (
-    BoundViolationError,
     Polynomial,
-    SearchBounds,
     compute,
     is_discriminating,
     parse_polynomial,
@@ -156,16 +154,18 @@ class TestCompute:
         assert result.candidates_tested == 15 - 5 + 1
 
     def test_inconsistent_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            SearchBounds(lower=10, upper=5)
+        with pytest.raises(ValueError, match="inconsistent bounds"):
+            compute(x_dx_minus_1(29), 5, lower=10, upper=5)
+        with pytest.raises(ValueError, match="lower bound must be >= 1"):
+            compute(x_dx_minus_1(29), 5, lower=0, upper=-5)
 
     def test_bound_violation_signalled(self):
         # D = 15 here, so an upper of 10 must raise, never silently return
-        with pytest.raises(BoundViolationError):
-            compute(x_dx_minus_1(29), 5, SearchBounds(lower=5, upper=10))
+        with pytest.raises(ValueError, match=r"no discriminating modulus in \[5, 10\) at n=5"):
+            compute(x_dx_minus_1(29), 5, lower=5, upper=10)
 
     def test_custom_lower_respected(self):
-        result = compute(x_dx_minus_1(29), 5, SearchBounds(lower=16, upper=100))
+        result = compute(x_dx_minus_1(29), 5, lower=16, upper=100)
         # D(5) = 15, but 17 is the least discriminating modulus at or above 16
         assert result.value == 17
         assert not is_discriminating(x_dx_minus_1(29).values(5), 16)
@@ -200,23 +200,14 @@ class TestScan:
         assert results[0].value == 1
         assert all(r.value is None for r in results[1:])
 
-    def test_upper_bound_hook(self):
-        f = x_dx_minus_1(27)
-        capped = scan(f, 50, upper_bound=lambda n: 3 ** 5)
-        assert [r.value for r in capped] == [r.value for r in scan(f, 50)]
 
-    def test_bad_upper_bound_raises(self):
-        with pytest.raises(BoundViolationError):
-            scan(x_dx_minus_1(29), 6, upper_bound=lambda n: n)
-
-
-def naive_discriminator(f, n):
-    """Least m with no pairwise difference of f(1..n) divisible by m, or None."""
+def naive_discriminator(f, n, lower=1):
+    """Least m >= lower with no pairwise difference of f(1..n) divisible by m, or None."""
     values = [f.evaluate(i) for i in range(1, n + 1)]
     diffs = [b - a for i, a in enumerate(values) for b in values[i + 1:]]
     if 0 in diffs:
         return None
-    m = 1
+    m = lower
     while any(d % m == 0 for d in diffs):
         m += 1
     return m
@@ -224,11 +215,19 @@ def naive_discriminator(f, n):
 
 class TestSearchDifferential:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 14))
-    @example([], 3)  # zero polynomial
-    @example([4], 3)  # constant
-    @example([0, -3, 1], 6)  # x(x-3): f(1) = f(2)
-    def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max):
+    # |f(i)| < 4e5 for these coefficients and n, so a lower of 10^6 or more
+    # lies above every spread and is itself the answer
+    @given(
+        st.lists(st.integers(-9, 9), max_size=5),
+        st.integers(1, 14),
+        st.one_of(st.integers(1, 40), st.integers(10 ** 6, 10 ** 7)),
+    )
+    @example([], 3, 1)  # zero polynomial
+    @example([4], 3, 2)  # constant
+    @example([0, -3, 1], 6, 1)  # x(x-3): f(1) = f(2)
+    @example([0, 1], 5, 4)  # spread 4: the window starts at it and moves to 5
+    @example([0, 1], 5, 5)  # ... or starts just above it
+    def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max, lower):
         f = P(*coeffs)
         results = scan(f, n_max)
         prev = 1
@@ -236,9 +235,12 @@ class TestSearchDifferential:
             expected = naive_discriminator(f, n)
             warm, cold = results[n - 1], compute(f, n)
             assert warm.value == cold.value == expected
+            windowed, expected_windowed = compute(f, n, lower=lower), naive_discriminator(f, n, lower)
+            assert windowed.value == expected_windowed
             if expected is None:
-                assert warm.candidates_tested == cold.candidates_tested == 0
+                assert warm.candidates_tested == cold.candidates_tested == windowed.candidates_tested == 0
                 continue
+            assert windowed.candidates_tested == expected_windowed - lower + 1
             assert cold.candidates_tested == expected - n + 1
             assert warm.candidates_tested == expected - max(prev, n) + 1
             prev = expected
