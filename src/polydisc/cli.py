@@ -53,8 +53,11 @@ def _parse_family_spec(spec: str) -> tuple[int, int]:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ntheory
-from .discriminator import compute
+from .discriminator import compute, scan
 from .poly import Polynomial
 
 
@@ -121,20 +121,19 @@ def family_primes(
 ) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
     """The first `count` distinct formula values from n = FAMILY_VALID_FROM on.
 
-    Each n is cross-checked against the oracle; returns the primes and the
-    (n, formula, oracle) mismatches, which the theorem predicts are none.
+    Each n is cross-checked against one warm oracle scan up to the last n;
+    returns the primes and the (n, formula, oracle) mismatches, which the
+    theorem predicts are none.
     """
+    formulas: list[int] = []
     primes: list[int] = []
-    mismatches: list[tuple[int, int, Optional[int]]] = []
-    n = FAMILY_VALID_FROM
     while len(primes) < count:
-        formula = sun_prime_discriminator(family, n)
-        oracle = compute(family.polynomial, n).value
-        if formula != oracle:
-            mismatches.append((n, formula, oracle))
+        formula = sun_prime_discriminator(family, FAMILY_VALID_FROM + len(formulas))
+        formulas.append(formula)
         if not primes or formula != primes[-1]:
             primes.append(formula)
-        n += 1
+    oracle = scan(family.polynomial, FAMILY_VALID_FROM + len(formulas) - 1)[FAMILY_VALID_FROM - 1:]
+    mismatches = [(r.n, formula, r.value) for r, formula in zip(oracle, formulas, strict=True) if r.value != formula]
     return primes, mismatches
 
 
@@ -170,20 +169,19 @@ def check_theorem4(f: Polynomial, p: int, n: int) -> SandwichReport:
     return SandwichReport(f, p, n, r_f.value, r_pf.value, holds)
 
 
-def sample_sandwich_trials(
-    count: int,
-    seed: int,
-    max_degree: int = 3,
-    coeff_bound: int = 9,
-    primes: tuple[int, ...] = (2, 3, 5),
-    n_max: int = 40,
-) -> Iterator[SandwichReport]:
+SANDWICH_MAX_DEGREE = 3
+SANDWICH_COEFF_BOUND = 9
+SANDWICH_PRIMES = (2, 3, 5)
+SANDWICH_N_MAX = 40
+
+
+def sample_sandwich_trials(count: int, seed: int) -> Iterator[SandwichReport]:
     """Seeded random (f, p, n) sandwich checks for property testing."""
     rng = random.Random(seed)
     for _ in range(count):
-        degree = rng.randint(0, max_degree)
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree + 1)]
+        degree = rng.randint(0, SANDWICH_MAX_DEGREE)
+        coeffs = [rng.randint(-SANDWICH_COEFF_BOUND, SANDWICH_COEFF_BOUND) for _ in range(degree + 1)]
         f = Polynomial.from_coeffs(coeffs)
-        p = rng.choice(primes)
-        n = rng.randint(1, n_max)
+        p = rng.choice(SANDWICH_PRIMES)
+        n = rng.randint(1, SANDWICH_N_MAX)
         yield check_theorem4(f, p, n)

@@ -74,13 +74,6 @@ class Polynomial:
             raise ValueError("scale factor must be nonzero")
         return Polynomial(tuple(c * a for a in self.coeffs))
 
-    def compose(self, other: "Polynomial") -> "Polynomial":
-        """self(other(x)), expanded and normalized."""
-        acc = Polynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * other + Polynomial.constant(c)
-        return acc
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -144,7 +137,7 @@ class Polynomial:
 #
 # expr   := term (('+' | '-') term)*
 # term   := factor ('*' factor)*
-# factor := '-' factor | power
+# factor := '-'* power
 # power  := primary ('^' INT)?
 # primary:= INT | 'x' | '(' expr ')'
 #
@@ -152,10 +145,12 @@ class Polynomial:
 # is rejected so the grammar stays unambiguous. Expansion is dense, so both
 # the exponent literal and the degree of every product and power are capped
 # and checked before expanding: text like x^99999999 is rejected at once
-# instead of building a hundred-million-term polynomial.
+# instead of building a hundred-million-term polynomial. Parentheses nest at
+# most MAX_NESTING deep, so no input exhausts Python's recursion limit.
 
 MAX_EXPONENT = 1000
 MAX_DEGREE = 1000
+MAX_NESTING = 100
 
 _SYMBOLS = "+-*^()"
 
@@ -192,6 +187,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -219,10 +215,10 @@ class _Parser:
         return acc
 
     def factor(self) -> Polynomial:
-        if self.peek()[0] == "-":
-            self.take()
-            return -self.factor()
-        return self.power()
+        start = self.i
+        while self.peek()[0] == "-":
+            self.i += 1
+        return -self.power() if (self.i - start) % 2 else self.power()
 
     def power(self) -> Polynomial:
         base = self.primary()
@@ -245,7 +241,11 @@ class _Parser:
         if kind == "x":
             return Polynomial.x()
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolynomialSyntaxError(f"parentheses nest deeper than the cap {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind2, _, pos2 = self.take()
             if kind2 != ")":
                 raise PolynomialSyntaxError("expected ')'", pos2)

@@ -162,6 +162,23 @@ class TestTheorem3:
         with pytest.raises(ValueError):
             check_theorem3(14)
 
+    @pytest.mark.parametrize("n_max", [15, 16, 40, 100])
+    def test_matches_the_double_loop_with_violations(self, monkeypatch, n_max):
+        # the n x m double loop the walk replaced; with no m counted as prime,
+        # every discriminating m that is not a power of two offends
+        monkeypatch.setattr(analysis.ntheory, "is_prime", lambda m: False)
+        values = Polynomial.from_coeffs([0, -1, 1]).values(n_max)
+        reference = [
+            (n, m)
+            for n in range(15, n_max + 1)
+            for m in range(1, 24 * n // 10 + 1)
+            if not analysis.ntheory.is_prime(m)
+            and m & (m - 1) != 0
+            and len({v % m for v in values[:n]}) == n
+        ]
+        assert reference
+        assert check_theorem3(n_max) == reference
+
 
 class TestVerifyTheorem:
     def test_counterexample_fails(self, monkeypatch):

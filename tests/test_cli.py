@@ -324,3 +324,18 @@ def test_pinned_scan_out(capsys, tmp_path):
     argv = ("scan", "--poly", "x*(29*x-1)", "--n-max", "12")
     assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
     assert out_file.read_bytes().decode() == SCAN_CSV
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--poly", "x*(29*x-1)"),
+    ("table", "--family", "p=29,r=1"),
+])
+def test_out_path_that_cannot_be_written(capsys, tmp_path, command):
+    argv = command + ("--n-max", "5", "--out")
+    assert run(capsys, *argv, str(tmp_path)) == (
+        1, "", f"error: cannot write {tmp_path}: Is a directory\n"
+    )
+    missing = tmp_path / "missing" / "t.csv"
+    assert run(capsys, *argv, str(missing)) == (
+        1, "", f"error: cannot write {missing}: No such file or directory\n"
+    )

@@ -12,10 +12,13 @@ from polydisc import (
     sun_prime_discriminator,
     x_dx_minus_1,
 )
+from polydisc import closedform
 from polydisc.closedform import (
     EIGHTEEN_X_3XMINUS1,
+    FAMILY_VALID_FROM,
     FOUR_X_4XMINUS1,
     TWO_X_XMINUS1,
+    family_primes,
     sample_sandwich_trials,
 )
 
@@ -95,16 +98,14 @@ class TestBSW:
     def test_composition_identity_same_radical(self):
         # D is invariant under composing odd powers whose exponents share the
         # same prime factors: x^3 o x^9 = x^27 and radical(27) = radical(3)
-        cube = x_power(3)
-        composed = cube.compose(x_power(9))
-        assert composed == x_power(27)
+        cube, composed = x_power(3), x_power(27)
         for n in range(1, 61):
             assert compute(composed, n).value == compute(cube, n).value, n
 
     def test_composition_differs_across_radicals(self):
         # x^3 o x^5 = x^15 has radical {3, 5}, not {3}, so the identity does
         # not apply: phi(11) = 10 is coprime to 3 but shares 5 with 15
-        fifteenth = x_power(3).compose(x_power(5))
+        fifteenth = x_power(15)
         assert compute(x_power(3), 11).value == 11
         assert compute(fifteenth, 11).value == 15
 
@@ -140,6 +141,33 @@ class TestPrimeFamilies:
                         f"small-n disagreement {family.tag} n={res.n}: "
                         f"oracle {res.value}, formula {formula}"
                     )
+
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_family_primes_match_cold_computes(self, monkeypatch, tag, perturbed):
+        # the per-n loop family_primes replaced: one cold compute from m = n
+        # for every n; a perturbed formula makes mismatches to compare too
+        family = FAMILIES[tag]
+        if perturbed:
+            real = closedform.sun_prime_discriminator
+            monkeypatch.setattr(
+                closedform, "sun_prime_discriminator", lambda fam, n: real(fam, n) + (n % 7 == 0)
+            )
+        formula = closedform.sun_prime_discriminator
+        oracle = {}
+        for count in range(1, 61):
+            primes, mismatches = [], []
+            n = FAMILY_VALID_FROM
+            while len(primes) < count:
+                if n not in oracle:
+                    oracle[n] = compute(family.polynomial, n).value
+                if formula(family, n) != oracle[n]:
+                    mismatches.append((n, formula(family, n), oracle[n]))
+                if not primes or formula(family, n) != primes[-1]:
+                    primes.append(formula(family, n))
+                n += 1
+            assert family_primes(family, count) == (primes, mismatches), count
+            assert bool(mismatches) == (perturbed and n > 7)
 
     def test_size_windows(self):
         for n in range(5, 201):
