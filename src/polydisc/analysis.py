@@ -239,8 +239,8 @@ def _check_theorem5(n_max: int) -> Verdict:
 def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAULT_SEED) -> Verdict:
     """Check one of the paper's Theorems 1-5 against the brute-force oracle.
 
-    `n_max` defaults per theorem; Theorem 3 clamps it to [15, 200] and
-    Theorem 4 ignores it, sampling 200 seeded (f, p, n) instead.
+    `n_max` defaults per theorem; Theorem 3 raises it to at least 15, where
+    the theorem starts, and Theorem 4 ignores it, sampling 200 seeded (f, p, n).
     """
     if theorem not in (1, 2, 3, 4, 5):
         raise ValueError(f"unknown theorem {theorem}")
@@ -251,7 +251,7 @@ def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAUL
     if theorem == 2:
         return _check_power_family((2, 4, 8, 16), n_max, "d in {2,4,8,16}: oracle equals 2^ceil(log2 n)")
     if theorem == 3:
-        n_max = max(15, min(n_max, 200))  # desk-scale cap; about 2.4 n_max checks of <= n_max values
+        n_max = max(15, n_max)
         violations = check_theorem3(n_max)
         if violations:
             n, m = violations[0]

@@ -21,7 +21,7 @@ class DiscriminatorResult:
 
     value: Optional[int]
     n: int
-    candidates_tested: int
+    candidates_tested: int  # moduli checked in full; 0 when scan confirms D(n-1) by one lookup
 
     @property
     def exists(self) -> bool:
@@ -96,25 +96,29 @@ def compute(
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
-    """compute(f, n) for n = 1..n_max with monotone warm starts.
+    """compute(f, n) for n = 1..n_max, carrying m = D(n-1) and f(1..n-1) mod m.
 
-    D_f(n) >= D_f(n-1), so each search resumes at the previous value. Once
-    two values collide, D_f(n) is undefined for that n and every later one.
+    D_f(n) >= D_f(n-1): a new residue f(n) mod m confirms D(n) = m by one
+    lookup, O(1) per surviving n; a repeat costs one search above m and one
+    O(n) rebuild. Once two values collide, D(n) is undefined from that n on.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     results: list[DiscriminatorResult] = []
     values: list[int] = []  # f(1..n), grown in place
-    seen_values: set[int] = set()
-    prev = 1
+    seen_values: set[int] = set()  # checked first: no modulus separates a repeat, so no search would end
+    m, residues = 1, set()  # m = 1 discriminates the empty prefix
     for n in range(1, n_max + 1):
         v = f.evaluate(n)
         if v in seen_values:
-            results += [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
-            break
+            return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
         values.append(v)
         seen_values.add(v)
-        result = _least_modulus(values, max(prev, n))
-        results.append(result)
-        prev = result.value
+        if v % m in residues:
+            results.append(_least_modulus(values, max(m + 1, n)))
+            m = results[-1].value
+            residues = {u % m for u in values}
+        else:
+            residues.add(v % m)
+            results.append(DiscriminatorResult(m, n, 0))
     return results

@@ -254,6 +254,8 @@ PINNED = [
      "PASS: d in {2,4,8,16}: oracle equals 2^ceil(log2 n) for all n <= 16\n", ""),
     (("verify", "--theorem", "3", "--n-max", "20"), 0,
      "PASS: no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= 20\n", ""),
+    (("verify", "--theorem", "3", "--n-max", "1000"), 0,
+     "PASS: no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= 1000\n", ""),
     (("verify", "--theorem", "4", "--seed", "7"), 0,
      "PASS: sandwich D_f <= D_pf <= p*D_f held for 200 random (f, p, n)\n", ""),
     (("verify", "--theorem", "4", "--seed", "42"), 0,

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from polydisc import (
     Polynomial,
     compute,
+    discriminator,
     is_discriminating,
     parse_polynomial,
     scan,
@@ -201,6 +202,29 @@ class TestScan:
         assert all(r.value is None for r in results[1:])
 
 
+class TestScanCarriesSurvivors:
+    @pytest.mark.parametrize(
+        "f, n_max",
+        [(x_dx_minus_1(29), 500), (parse_polynomial("(x^2+x+41)^4"), 60), (P(0, -3, 1), 6)],
+        ids=["x(29x-1)", "(x^2+x+41)^4", "x(x-3)"],
+    )
+    def test_candidates_count_full_checks(self, monkeypatch, f, n_max):
+        # the bench's invariant: every modulus counted is one is_discriminating call, and back
+        calls = []
+
+        def counted(values, m):
+            calls.append(m)
+            return is_discriminating(values, m)
+
+        monkeypatch.setattr(discriminator, "is_discriminating", counted)
+        assert sum(r.candidates_tested for r in scan(f, n_max)) == len(calls)
+
+    @pytest.mark.parametrize("d", range(2, 61))
+    def test_equals_cold_compute_through_deaths(self, d):
+        f = x_dx_minus_1(d)
+        assert [r.value for r in scan(f, 300)] == [compute(f, n).value for n in range(1, 301)]
+
+
 def naive_discriminator(f, n, lower=1):
     """Least m >= lower with no pairwise difference of f(1..n) divisible by m, or None."""
     values = [f.evaluate(i) for i in range(1, n + 1)]
@@ -227,6 +251,7 @@ class TestSearchDifferential:
     @example([0, -3, 1], 6, 1)  # x(x-3): f(1) = f(2)
     @example([0, 1], 5, 4)  # spread 4: the window starts at it and moves to 5
     @example([0, 1], 5, 5)  # ... or starts just above it
+    @example([0, -40, 1], 40, 1)  # x(x-40): survivors, then f(1) = f(39)
     def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max, lower):
         f = P(*coeffs)
         results = scan(f, n_max)
@@ -242,5 +267,6 @@ class TestSearchDifferential:
                 continue
             assert windowed.candidates_tested == expected_windowed - lower + 1
             assert cold.candidates_tested == expected - n + 1
-            assert warm.candidates_tested == expected - max(prev, n) + 1
+            # a surviving D(n-1) is confirmed by one lookup; a new value is searched for above it
+            assert warm.candidates_tested == (0 if expected == prev else expected - max(prev + 1, n) + 1)
             prev = expected
