@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import ntheory
 from .closedform import bsw_discriminator, lemma1_bound, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
@@ -21,8 +20,7 @@ class Kind(enum.Enum):
     COMPOSITE_OTHER = "composite_other"
 
 
-@dataclass(frozen=True)
-class ValueClass:
+class ValueClass(NamedTuple):
     """Partition cell of a discriminator value relative to a family prime p."""
 
     kind: Kind
@@ -48,8 +46,7 @@ def classify_value(value: int, p: int) -> ValueClass:
     return ValueClass(Kind.COMPOSITE_OTHER)
 
 
-@dataclass(frozen=True)
-class RunTable:
+class RunTable(NamedTuple):
     """Run-length encoding of D values over consecutive n starting at 1."""
 
     rows: tuple[tuple[int, int, int], ...]  # (n_low, n_high, value)
@@ -65,17 +62,13 @@ def run_length_table(
     results: Sequence[Union[DiscriminatorResult, int]]
 ) -> RunTable:
     """Encode a finite D sequence (indexed by n = 1, 2, ...) as runs."""
-    values: list[int] = []
-    for item in results:
+    rows: list[tuple[int, int, int]] = []
+    for n, item in enumerate(results, start=1):
         v = item.value if isinstance(item, DiscriminatorResult) else int(item)
         if v is None:
             raise ValueError("run_length_table requires finite values")
-        values.append(v)
-    rows: list[tuple[int, int, int]] = []
-    for n, v in enumerate(values, start=1):
         if rows and rows[-1][2] == v:
-            n_low, _, _ = rows[-1]
-            rows[-1] = (n_low, n, v)
+            rows[-1] = (rows[-1][0], n, v)
         else:
             rows.append((n, n, v))
     return RunTable(tuple(rows))
@@ -195,8 +188,7 @@ KNOWN_POWER_FORMULA_EXCEPTIONS = {
 DEFAULT_SEED = 20260824
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one theorem check: a one-line summary plus documented notes."""
 
     ok: bool
@@ -239,8 +231,8 @@ def _check_theorem5(n_max: int) -> Verdict:
 def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAULT_SEED) -> Verdict:
     """Check one of the paper's Theorems 1-5 against the brute-force oracle.
 
-    `n_max` defaults per theorem; Theorem 3 raises it to at least 15, where
-    the theorem starts, and Theorem 4 ignores it, sampling 200 seeded (f, p, n).
+    `n_max` (default per theorem, >= 1) rises to 15 for Theorem 3, where the
+    theorem starts; Theorem 4 ignores it, sampling 200 seeded (f, p, n).
     """
     if theorem not in (1, 2, 3, 4, 5):
         raise ValueError(f"unknown theorem {theorem}")
@@ -251,6 +243,8 @@ def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAUL
     if theorem == 2:
         return _check_power_family((2, 4, 8, 16), n_max, "d in {2,4,8,16}: oracle equals 2^ceil(log2 n)")
     if theorem == 3:
+        if n_max < 1:
+            raise ValueError("n_max must be >= 1")
         n_max = max(15, n_max)
         violations = check_theorem3(n_max)
         if violations:

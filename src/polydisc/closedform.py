@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from math import gcd
+from typing import Iterator, NamedTuple, Optional
 
 from . import ntheory
 from .discriminator import compute, scan
@@ -48,24 +49,17 @@ def bsw_discriminator(j: int, n: int) -> int:
     """
     if j < 1 or n < 1:
         raise ValueError("j and n must be >= 1")
-    from math import gcd
-
     if j % 2 == 1:
-        k = n
-        while True:
+        for k in itertools.count(n):
             if ntheory.is_squarefree(k) and gcd(ntheory.euler_phi(k), j) == 1:
                 return k
-            k += 1
-    k = 2 * n
-    while True:
+    for k in itertools.count(2 * n):
         if ntheory.is_prime(k) or (k % 2 == 0 and ntheory.is_prime(k // 2)):
             if gcd(ntheory.euler_phi(k), j) == 2:
                 return k
-        k += 1
 
 
-@dataclass(frozen=True)
-class PrimeFamily:
+class PrimeFamily(NamedTuple):
     """A polynomial whose discriminator is the least prime past a threshold.
 
     The threshold is the exact rational (a*n + b) / c; the progression
@@ -137,8 +131,7 @@ def family_primes(
     return primes, mismatches
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Outcome of checking D_f(n) <= D_{pf}(n) <= p * D_f(n) via the oracle."""
 
     f: Polynomial

@@ -8,15 +8,13 @@ by reducing those integers mod m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class DiscriminatorResult:
+class DiscriminatorResult(NamedTuple):
     """Minimal discriminating modulus (None = nonexistent) plus search stats."""
 
     value: Optional[int]

@@ -7,7 +7,6 @@ Python ints and therefore exact at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -19,11 +18,30 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Dense integer polynomial; coeffs[i] multiplies x**i."""
+    """Dense integer polynomial; coeffs[i] multiplies x**i. Immutable; equal and hashed by coeffs."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)  # a plain class: a dataclass would import `dataclasses` on every CLI start
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not the refused __setattr__
+        return Polynomial, (self.coeffs,)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> "Polynomial":
@@ -35,10 +53,6 @@ class Polynomial:
     @staticmethod
     def constant(c: int) -> "Polynomial":
         return Polynomial.from_coeffs([c])
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial((0, 1))
 
     @property
     def degree(self) -> Optional[int]:
@@ -239,7 +253,7 @@ class _Parser:
         if kind == "int":
             return Polynomial.constant(int(value))
         if kind == "x":
-            return Polynomial.x()
+            return Polynomial((0, 1))
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolynomialSyntaxError(f"parentheses nest deeper than the cap {MAX_NESTING}", pos)

@@ -181,6 +181,14 @@ class TestTheorem3:
 
 
 class TestVerifyTheorem:
+    def test_verdict_repr_and_frozen_fields(self):
+        verdict = analysis.verify_theorem(1, 9)
+        assert repr(verdict) == (
+            "Verdict(ok=True, message='d=3: oracle equals 3^ceil(log3 n) for all n <= 9', notes=())"
+        )
+        with pytest.raises(AttributeError):
+            verdict.ok = False
+
     def test_counterexample_fails(self, monkeypatch):
         real = analysis.sun_power_formula
         monkeypatch.setattr(analysis, "sun_power_formula", lambda d, n: real(d, n) + (n == 10))

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import polydisc
 from polydisc import analysis, closedform, ntheory, scan
 from polydisc.cli import main
 
@@ -179,7 +184,7 @@ class TestExitCodes:
         status, _, err = run(capsys, "table", "--family", "p=2,r=1001", "--n-max", "2")
         assert (status, err) == (1, "error: r=1001 exceeds the cap 1000\n")
 
-    @pytest.mark.parametrize("theorem", [1, 2, 5])
+    @pytest.mark.parametrize("theorem", [1, 2, 3, 5])
     def test_verify_n_max_below_one(self, capsys, theorem):
         status, out, err = run(capsys, "verify", "--theorem", str(theorem), "--n-max", "0")
         assert (status, out, err) == (1, "", "error: n_max must be >= 1\n")
@@ -341,3 +346,17 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, command):
     assert run(capsys, *argv, str(missing)) == (
         1, "", f"error: cannot write {missing}: No such file or directory\n"
     )
+
+
+def test_cli_import_leaves_out_dataclasses_and_its_imports():
+    # every CLI run imports polydisc.cli; `dataclasses` would bring these with it
+    src = os.path.dirname(os.path.dirname(polydisc.__file__))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import polydisc.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.split()
+    assert "polydisc.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polydisc import (
+    DiscriminatorResult,
     Polynomial,
     compute,
     discriminator,
@@ -17,6 +18,15 @@ from polydisc import (
 
 def P(*coeffs):
     return Polynomial.from_coeffs(coeffs)
+
+
+class TestResultRecord:
+    def test_repr_and_frozen_fields(self):
+        result = compute(P(0, -1, 29), 5)
+        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=11)"
+        assert result == DiscriminatorResult(15, 5, 11) and result.exists
+        with pytest.raises(AttributeError):
+            result.value = 16
 
 
 class TestIsDiscriminating:

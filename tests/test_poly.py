@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +149,35 @@ class TestScaleCompose:
     def test_scale_rejects_zero(self):
         with pytest.raises(ValueError):
             P(1, 1).scale(0)
+
+
+class TestRecord:
+    def test_equal_coefficients_are_equal_and_hash_alike(self):
+        f, g = Polynomial((0, 1)), parse_polynomial("x")
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert f != P(0, 2) and f != (0, 1)
+
+    def test_repr(self):
+        assert repr(Polynomial((0, 1))) == "Polynomial(coeffs=(0, 1))"
+
+    def test_coeffs_cannot_be_assigned_or_deleted(self):
+        f = P(0, 1)
+        with pytest.raises(AttributeError):
+            f.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            del f.coeffs
+        with pytest.raises(AttributeError):
+            f.other = 1
+        assert f.coeffs == (0, 1)
+
+    def test_int_times_polynomial_raises(self):
+        with pytest.raises(TypeError):
+            2 * P(0, 1)
+
+    def test_copy_and_pickle_round_trip(self):
+        f = P(3, -2, 5)
+        assert copy.copy(f) == f and copy.deepcopy(f) == f
+        assert pickle.loads(pickle.dumps(f)) == f
 
 
 coeff = st.integers(min_value=-9, max_value=9)
