@@ -8,6 +8,7 @@ by reducing those integers mod m.
 
 from __future__ import annotations
 
+import operator
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
@@ -26,14 +27,33 @@ class DiscriminatorResult(NamedTuple):
         return self.value is not None
 
 
+# Indexing a byte is cheaper than hashing an int, but a bytearray(m) costs m
+# bytes even for a walk that exits after a few residues. At 64 bytes per value
+# the table is no larger than the set a full walk over residues above 256
+# builds (about 65 bytes per value with its ints on CPython 3.11).
+FLAT_TABLE_FACTOR = 64
+
+
 def is_discriminating(values: Sequence[int], m: int) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
 
-    Exits on the first repeated residue; memory grows with len(values),
-    never with m.
+    Exits on the first repeated residue. While m <= FLAT_TABLE_FACTOR *
+    len(values) the residues seen are flags in a bytearray(m), at most
+    FLAT_TABLE_FACTOR bytes per value; above that they are a set of at most
+    len(values) residues. So memory grows with len(values), not with m.
+    A modulus that is not an integer raises TypeError on either path.
     """
+    m = operator.index(m)
     if not values or m < 1:
         raise ValueError("values must be nonempty and m must be >= 1")
+    if m <= FLAT_TABLE_FACTOR * len(values):
+        flags = bytearray(m)
+        for v in values:
+            r = v % m
+            if flags[r]:
+                return False
+            flags[r] = 1
+        return True
     seen = set()
     for v in values:
         r = v % m

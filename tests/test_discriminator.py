@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,6 +74,20 @@ def all_pairs_distinct(values, m):
 # degree 8: f(40) is about 4.6e25, beyond int64
 WIDE_VALUES = parse_polynomial("(x^2+x+41)^4").values(40)
 BIG = 10 ** 40
+BIG_REPEAT = [-BIG, 7, -BIG]
+
+
+def flat_table_bound(values):
+    """The largest m whose check marks residues in a bytearray(m) rather than a set."""
+    return discriminator.FLAT_TABLE_FACTOR * len(values)
+
+
+def with_modulus(values):
+    # small m, huge m, and m within 3 of the bound, so both representations
+    # see the same kinds of values
+    bound = flat_table_bound(values)
+    moduli = st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30), st.integers(bound - 3, bound + 3))
+    return st.tuples(st.just(values), moduli)
 
 
 class TestValueSequence:
@@ -82,24 +97,58 @@ class TestValueSequence:
             st.lists(st.integers(-20, 20), min_size=1, max_size=30),  # repeats, negatives
             st.lists(st.integers(-BIG, BIG), min_size=1, max_size=30),
             st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
-        ),
-        st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30)),
+        ).flatmap(with_modulus)
     )
-    @example([5], 1)
-    @example([3, 3], 10 ** 30)
-    @example([-1, 1], 2)
-    @example(WIDE_VALUES, 10 ** 30)
-    def test_matches_all_pairs(self, values, m):
+    @example(([5], 1))
+    @example(([3, 3], 10 ** 30))
+    @example(([-1, 1], 2))
+    @example((WIDE_VALUES, 10 ** 30))
+    @example((WIDE_VALUES, flat_table_bound(WIDE_VALUES)))
+    @example((WIDE_VALUES, flat_table_bound(WIDE_VALUES) + 1))
+    @example((BIG_REPEAT, flat_table_bound(BIG_REPEAT)))
+    @example((BIG_REPEAT, flat_table_bound(BIG_REPEAT) + 1))
+    def test_matches_all_pairs(self, case):
+        values, m = case
         assert is_discriminating(values, m) == all_pairs_distinct(values, m)
 
-    @pytest.mark.parametrize("values, m", [([], 5), ([1, 2], 0), ([1, 2], -3)])
+    @pytest.mark.parametrize(
+        "values, m", [([], 5), ([1, 2], 0), ([1, 2], -3), ([1, 2], 2.5), ([1, 2], 10.0 ** 30)]
+    )
     def test_rejects_empty_values_and_bad_modulus(self, values, m):
-        with pytest.raises(ValueError):
+        # a float modulus is refused on both sides of the flat-table bound
+        with pytest.raises(TypeError if isinstance(m, float) else ValueError):
             is_discriminating(values, m)
 
     def test_trivial_upper_bound_rejects_empty(self):
         with pytest.raises(ValueError):
             trivial_upper_bound([])
+
+
+def check_peak_bytes(values, m):
+    """Peak bytes allocated during one is_discriminating(values, m) call."""
+    is_discriminating(values, m)  # first-call allocations are not the check's
+    tracemalloc.start()
+    try:
+        is_discriminating(values, m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckMemory:
+    """A check's memory follows len(values), not m, on both sides of the bound."""
+
+    def test_two_values_at_a_huge_modulus(self):
+        assert check_peak_bytes([-1, 2], 10 ** 30) < 2048
+
+    def test_above_the_bound_an_early_exit_allocates_no_table(self):
+        values = [7] * 256
+        assert check_peak_bytes(values, flat_table_bound(values) + 1) < 2048
+
+    def test_at_the_bound_the_table_is_the_bound_in_bytes(self):
+        values = list(range(1000, 1256))  # distinct mod the bound: a full walk
+        bound = flat_table_bound(values)
+        assert bound <= check_peak_bytes(values, bound) <= bound + 512
 
 
 class TestTrivialUpperBound:
