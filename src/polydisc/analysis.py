@@ -158,20 +158,29 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
 
     Returns every offending (n, m) in order; the theorem predicts none. The
     threshold is compared exactly as 10m <= 24n. An m that discriminates
-    f(1..n) discriminates every prefix, so each m is walked up from its least
-    allowed n until it first fails.
+    f(1..n) discriminates every prefix, so each m is checked once at its
+    least allowed n and then walked up one value at a time until it first
+    fails. The ascending moduli share one stamp table; since m <= 2.4n each
+    check marks f(1..n) mod m in it, so a later value needs one lookup.
     """
     if n_max < 15:
         raise ValueError("check_theorem3 requires n_max >= 15")
     values = Polynomial.from_coeffs([0, -1, 1]).values(n_max)
     violations: list[tuple[int, int]] = []
+    stamps: list[int] = []
     for m in range(1, 24 * n_max // 10 + 1):
         if ntheory.is_prime(m) or m & (m - 1) == 0:
             continue
         n = max(15, -(-10 * m // 24))
-        while n <= n_max and is_discriminating(values[:n], m):
+        if not is_discriminating(values[:n], m, stamps):
+            continue
+        violations.append((n, m))
+        for n in range(n + 1, n_max + 1):
+            r = values[n - 1] % m
+            if stamps[r] == m:
+                break
+            stamps[r] = m
             violations.append((n, m))
-            n += 1
     return sorted(violations)
 
 

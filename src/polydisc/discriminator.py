@@ -9,7 +9,7 @@ by reducing those integers mod m.
 from __future__ import annotations
 
 import operator
-from itertools import count
+from itertools import count, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .poly import Polynomial
@@ -27,32 +27,50 @@ class DiscriminatorResult(NamedTuple):
         return self.value is not None
 
 
-# Indexing a byte is cheaper than hashing an int, but a bytearray(m) costs m
-# bytes even for a walk that exits after a few residues. At 64 bytes per value
-# the table is no larger than the set a full walk over residues above 256
-# builds (about 65 bytes per value with its ints on CPython 3.11).
+# A check at m marks the residues it has seen in a table of m slots while
+# m <= FLAT_TABLE_FACTOR * len(values), and in a set above that, so its memory
+# grows with len(values), not with m; indexing a slot is cheaper than hashing
+# an int. A standalone check zeroes a bytearray(m): one byte per slot, at most
+# 64 bytes per value, about what the set of a full walk over residues above
+# 256 takes on CPython 3.11 (set entries plus the int objects).
+# A search shares one stamp table across its candidates instead of zeroing m
+# bytes for each: a list whose slot r holds the last modulus that saw residue
+# r. A check marks r with m and rejects on a slot equal to m. A table must
+# never see the same m twice; its moduli only increase, so a stale stamp never
+# equals the current m and nothing is cleared between checks. A list, since a
+# stamp is a whole modulus and CPython 3.11 specialises list[int] loads and
+# stores, not bytearray ones. A slot is an 8-byte pointer, at most 512 bytes
+# per value, plus one int object per modulus that still owns a slot.
 FLAT_TABLE_FACTOR = 64
 
 
-def is_discriminating(values: Sequence[int], m: int) -> bool:
+def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]] = None) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
 
     Exits on the first repeated residue. While m <= FLAT_TABLE_FACTOR *
-    len(values) the residues seen are flags in a bytearray(m), at most
-    FLAT_TABLE_FACTOR bytes per value; above that they are a set of at most
-    len(values) residues. So memory grows with len(values), not with m.
-    A modulus that is not an integer raises TypeError on either path.
+    len(values) the residues seen are marked in a table of m slots: a fresh
+    bytearray(m), or `stamps`, a search's shared table, grown to m slots when
+    shorter. A shared table must never see the same m twice: every m passed
+    with it must exceed every stamp already in it. Above the bound the
+    residues are a set of at most len(values) entries and `stamps` is
+    untouched. So memory grows with len(values), not with m. A modulus that
+    is not an integer raises TypeError on either path.
     """
     m = operator.index(m)
     if not values or m < 1:
         raise ValueError("values must be nonempty and m must be >= 1")
     if m <= FLAT_TABLE_FACTOR * len(values):
-        flags = bytearray(m)
+        if stamps is None:
+            stamps, mark = bytearray(m), 1
+        else:
+            mark = m
+            if len(stamps) < m:
+                stamps.extend(repeat(0, m - len(stamps)))
         for v in values:
             r = v % m
-            if flags[r]:
+            if stamps[r] == mark:
                 return False
-            flags[r] = 1
+            stamps[r] = mark
         return True
     seen = set()
     for v in values:
@@ -76,16 +94,23 @@ def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
     return max(values) - min(values) + 1
 
 
-def _least_modulus(values: Sequence[int], lower: int, upper: Optional[int] = None) -> DiscriminatorResult:
+def _least_modulus(
+    values: Sequence[int], lower: int, upper: Optional[int] = None, stamps: Optional[list[int]] = None
+) -> DiscriminatorResult:
     """The least m >= lower (and < upper, when given) under which the distinct
     integers `values` are pairwise distinct; exhausting `upper` raises ValueError.
+
+    Every candidate is checked on one stamp table: `stamps`, when the caller
+    carries one whose moduli all lie below `lower`, else a new one.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
     ends without a cap.
     """
+    if stamps is None:
+        stamps = []
     for m in count(lower) if upper is None else range(lower, upper):
-        if is_discriminating(values, m):
+        if is_discriminating(values, m, stamps):
             return DiscriminatorResult(m, len(values), m - lower + 1)
     raise ValueError(f"no discriminating modulus in [{lower}, {upper}) at n={len(values)}")
 
@@ -117,26 +142,35 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
     """compute(f, n) for n = 1..n_max, carrying m = D(n-1) and f(1..n-1) mod m.
 
     D_f(n) >= D_f(n-1): a new residue f(n) mod m confirms D(n) = m by one
-    lookup, O(1) per surviving n; a repeat costs one search above m and one
-    O(n) rebuild. Once two values collide, D(n) is undefined from that n on.
+    lookup, O(1) per surviving n; a repeat costs one search above m. Every
+    search checks its candidates on the scan's one stamp table, whose slots
+    hold f(1..n) mod m stamped m after an accepting check. Once two values
+    collide, D(n) is undefined from that n on.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     results: list[DiscriminatorResult] = []
     values: list[int] = []  # f(1..n), grown in place
     seen_values: set[int] = set()  # checked first: no modulus separates a repeat, so no search would end
-    m, residues = 1, set()  # m = 1 discriminates the empty prefix
+    stamps = [0]  # m = 1 discriminates the empty prefix; no slot is stamped 1 yet
+    m, residues = 1, None  # residues: f(1..n) mod m, a set only when m was accepted above the table bound
     for n in range(1, n_max + 1):
         v = f.evaluate(n)
         if v in seen_values:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
         values.append(v)
         seen_values.add(v)
-        if v % m in residues:
-            results.append(_least_modulus(values, max(m + 1, n)))
-            m = results[-1].value
-            residues = {u % m for u in values}
+        r = v % m
+        if residues is None:
+            survives = stamps[r] != m
+            stamps[r] = m
         else:
-            residues.add(v % m)
+            survives = r not in residues
+            residues.add(r)
+        if survives:
             results.append(DiscriminatorResult(m, n, 0))
+        else:
+            results.append(_least_modulus(values, max(m + 1, n), stamps=stamps))
+            m = results[-1].value
+            residues = {u % m for u in values} if m > FLAT_TABLE_FACTOR * n else None
     return results

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from polydisc import (
     DiscriminatorResult,
     Polynomial,
+    analysis,
+    check_theorem3,
     compute,
     discriminator,
     is_discriminating,
@@ -271,9 +274,9 @@ class TestScanCarriesSurvivors:
         # the bench's invariant: every modulus counted is one is_discriminating call, and back
         calls = []
 
-        def counted(values, m):
+        def counted(values, m, stamps=None):
             calls.append(m)
-            return is_discriminating(values, m)
+            return is_discriminating(values, m, stamps)
 
         monkeypatch.setattr(discriminator, "is_discriminating", counted)
         assert sum(r.candidates_tested for r in scan(f, n_max)) == len(calls)
@@ -282,6 +285,118 @@ class TestScanCarriesSurvivors:
     def test_equals_cold_compute_through_deaths(self, d):
         f = x_dx_minus_1(d)
         assert [r.value for r in scan(f, 300)] == [compute(f, n).value for n in range(1, 301)]
+
+
+# Every value drawn for the table contract: repeats, negatives, values beyond
+# int64, and prefixes of a degree-8 polynomial's values.
+VALUE_LISTS = st.one_of(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+    st.lists(st.integers(-BIG, BIG), min_size=1, max_size=30),
+    st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
+)
+
+
+def lcm_family(k, coeffs):
+    """lcm(1..k) * g for g with coefficients `coeffs`: every m <= k divides each
+    difference of its values, so D lies above k and, at small n, above the
+    flat-table bound."""
+    lcm = math.lcm(*range(1, k + 1))
+    return Polynomial.from_coeffs([lcm * c for c in coeffs])
+
+
+class TestStampTable:
+    """A search's checks share one stamp table; they must agree with fresh checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_increasing_moduli_on_one_dirty_table(self, data):
+        checks, prev = [], 0
+        for _ in range(data.draw(st.integers(1, 8), label="checks")):
+            values = data.draw(VALUE_LISTS, label="values")
+            bound = flat_table_bound(values)
+            m = data.draw(
+                st.one_of(
+                    st.integers(prev + 1, prev + 60),
+                    st.integers(max(prev + 1, bound - 3), max(prev + 1, bound + 3)),  # both sides of the bound
+                    st.integers(prev + 1, prev + 10 ** 30),
+                ),
+                label="m",
+            )
+            checks.append((values, m))
+            prev = m
+        # stale stamps left by earlier, smaller moduli
+        stamps = data.draw(st.lists(st.integers(0, checks[0][1] - 1), max_size=200), label="stamps")
+        for values, m in checks:
+            size = len(stamps)
+            expected = all_pairs_distinct(values, m)
+            assert is_discriminating(values, m) == expected
+            assert is_discriminating(values, m, stamps) == expected
+            # grown to m slots on the flat path only, never past the bound
+            assert len(stamps) == (max(size, m) if m <= flat_table_bound(values) else size)
+
+    def test_scan_crosses_the_flat_table_bound(self):
+        # D = 211 from n = 2, above 64n and kept in a set, until f(65) and
+        # f(66) collide mod 211 (65 + 66 = 131 = 1/29 mod 211); the searches
+        # after that run on the flat table
+        f, n_max = lcm_family(200, [0, -1, 29]), 120
+        results = scan(f, n_max)
+        searched = [r for r in results if r.candidates_tested]
+        assert searched[0].value > flat_table_bound(range(searched[0].n))
+        assert any(r.value <= flat_table_bound(range(r.n)) for r in searched[1:])
+        assert [r.value for r in results] == [compute(f, n).value for n in range(1, n_max + 1)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(20, 200), st.lists(st.integers(-9, 9), min_size=2, max_size=4), st.integers(2, 80))
+    @example(200, [0, -1, 29], 80)
+    @example(60, [0, 1, 0, 1], 80)
+    def test_scan_equals_cold_compute_across_the_bound(self, k, coeffs, n_max):
+        f = lcm_family(k, coeffs)
+        assert [r.value for r in scan(f, n_max)] == [compute(f, n).value for n in range(1, n_max + 1)]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: scan(x_dx_minus_1(29), 400),
+            lambda: scan(parse_polynomial("(x^2+x+41)^4"), 60),
+            lambda: scan(lcm_family(200, [0, -1, 29]), 120),
+            lambda: compute(x_dx_minus_1(29), 60, lower=30, upper=200),
+            lambda: compute(parse_polynomial("(x^2+x+41)^4"), 40, lower=1000),
+            lambda: check_theorem3(200),
+        ],
+        ids=["scan x(29x-1)", "scan (x^2+x+41)^4", "scan lcm(1..200)x(29x-1)", "compute window", "compute above", "theorem 3"],
+    )
+    def test_each_table_sees_strictly_increasing_moduli(self, monkeypatch, run):
+        tables = {}  # id -> (table, moduli passed with it); holding the table keeps its id unique
+
+        def checked(values, m, stamps=None):
+            if stamps is not None:
+                moduli = tables.setdefault(id(stamps), (stamps, []))[1]
+                # no stamp, from a check or from a caller's own lookups, equals m yet
+                assert all(m > seen for seen in moduli) and m not in stamps
+                moduli.append(m)
+            return is_discriminating(values, m, stamps)
+
+        monkeypatch.setattr(discriminator, "is_discriminating", checked)
+        monkeypatch.setattr(analysis, "is_discriminating", checked)
+        run()
+        assert tables
+
+    def test_a_search_far_above_the_bound_allocates_for_n_not_m(self):
+        # values 0 and lcm(1..10000): every m up to 10006 divides their
+        # difference, so the search checks 10,006 moduli from 2 and stops at
+        # the prime 10007, far above the bound 128
+        values = [0, math.lcm(*range(1, 10001))]
+        discriminator._least_modulus(values, 2)  # first-call allocations are not the search's
+        tracemalloc.start()
+        try:
+            result = discriminator._least_modulus(values, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.value == 10007
+        # a table of at most 128 slots of 8 bytes, one set of two residues and
+        # the loop's ints, against 10 KB for one bytearray(m) at the end
+        assert peak < 8 * flat_table_bound(values) + 2048
 
 
 def naive_discriminator(f, n, lower=1):
