@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import ntheory
-from .closedform import bsw_discriminator, lemma1_bound, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
-from .discriminator import DiscriminatorResult, is_discriminating, scan
+from .closedform import bsw_discriminator, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
+from .discriminator import DiscriminatorResult, _first_repeat, is_discriminating, scan
 from .poly import Polynomial
 
 
@@ -29,10 +30,17 @@ class ValueClass(NamedTuple):
 
 def classify_value(value: int, p: int) -> ValueClass:
     """Exactly one of: unit, prime, p^k (k>=2), q^k (q != p, k>=2), other composite."""
-    if value < 1:
-        raise ValueError("value must be >= 1")
     if not ntheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _classify(value, p)
+
+
+def _classify(value: int, p: int) -> ValueClass:
+    """classify_value for a p already proven prime: a table classifies all its
+    rows against one p, and proving a 300-digit p takes longer than
+    classifying a small value."""
+    if value < 1:
+        raise ValueError("value must be >= 1")
     if value == 1:
         return ValueClass(Kind.UNIT)
     factors = ntheory.factorize(value)
@@ -94,9 +102,11 @@ def csv_prime(f: Polynomial, table: RunTable) -> int:
 
 def emit_csv(table: RunTable, p: int) -> str:
     """CSV `n_low,n_high,value,class` with the class column keyed to prime p."""
+    if not ntheory.is_prime(p):
+        raise ValueError(f"{p} is not prime")
     lines = ["n_low,n_high,value,class"]
     for n_low, n_high, value in table.rows:
-        cls = classify_value(value, p)
+        cls = _classify(value, p)
         lines.append(f"{n_low},{n_high},{value},{cls.kind.value}")
     return "\n".join(lines) + "\n"
 
@@ -147,9 +157,10 @@ def check_conjecture1(
     exceptions: list[tuple[int, int, ValueClass]] = []
     for result in scan(x_dx_minus_1(p ** r), n_max):
         v = result.value
-        if ntheory.is_prime(v) or (v > 1 and v == lemma1_bound(p, r, result.n)):
+        # lemma1_bound(p, r, n), without proving p prime again
+        if ntheory.is_prime(v) or (v > 1 and v == p ** ntheory.ceil_log(p, result.n)):
             continue
-        exceptions.append((result.n, v, classify_value(v, p)))
+        exceptions.append((result.n, v, _classify(v, p)))
     return exceptions
 
 
@@ -159,28 +170,25 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
     Returns every offending (n, m) in order; the theorem predicts none. The
     threshold is compared exactly as 10m <= 24n. An m that discriminates
     f(1..n) discriminates every prefix, so each m is checked once at its
-    least allowed n and then walked up one value at a time until it first
-    fails. The ascending moduli share one stamp table; since m <= 2.4n each
-    check marks f(1..n) mod m in it, so a later value needs one lookup.
+    least allowed n, on one prefix that only grows since that n never falls
+    as m rises, and then walked on to its death. The ascending moduli share
+    one stamp table; m <= 2.4n lies below the flat-table bound, so each
+    accepting check leaves the prefix marked there for the walk.
     """
     if n_max < 15:
         raise ValueError("check_theorem3 requires n_max >= 15")
     values = Polynomial.from_coeffs([0, -1, 1]).values(n_max)
+    unread = iter(values)  # values past the prefix
     violations: list[tuple[int, int]] = []
+    prefix: list[int] = []
     stamps: list[int] = []
     for m in range(1, 24 * n_max // 10 + 1):
         if ntheory.is_prime(m) or m & (m - 1) == 0:
             continue
         n = max(15, -(-10 * m // 24))
-        if not is_discriminating(values[:n], m, stamps):
-            continue
-        violations.append((n, m))
-        for n in range(n + 1, n_max + 1):
-            r = values[n - 1] % m
-            if stamps[r] == m:
-                break
-            stamps[r] = m
-            violations.append((n, m))
+        prefix.extend(islice(unread, n - len(prefix)))
+        if is_discriminating(prefix, m, stamps):
+            violations.extend((k, m) for k in range(n, _first_repeat(values, m, stamps, n) + 1))
     return sorted(violations)
 
 

@@ -9,8 +9,9 @@ by reducing those integers mod m.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from itertools import count, repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .poly import Polynomial
 
@@ -41,6 +42,7 @@ class DiscriminatorResult(NamedTuple):
 # stamp is a whole modulus and CPython 3.11 specialises list[int] loads and
 # stores, not bytearray ones. A slot is an 8-byte pointer, at most 512 bytes
 # per value, plus one int object per modulus that still owns a slot.
+# Only the checks and `_first_repeat`, which walks on from one, touch a slot.
 FLAT_TABLE_FACTOR = 64
 
 
@@ -79,6 +81,19 @@ def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]]
             return False
         seen.add(r)
     return True
+
+
+def _first_repeat(values: Sequence[int], m: int, table: Union[list[int], dict[int, int]], start: int) -> int:
+    """Index of the first value from values[start] on whose residue mod m is
+    already marked m in `table` (a stamp list, or a dict that reads 0 for a
+    missing key), or len(values). Marks each new residue; values[:start] must
+    be marked already, as an accepting flat-path check leaves them."""
+    for i in range(start, len(values)):
+        r = values[i] % m
+        if table[r] == m:
+            return i
+        table[r] = m
+    return len(values)
 
 
 def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
@@ -139,38 +154,29 @@ def compute(
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
-    """compute(f, n) for n = 1..n_max, carrying m = D(n-1) and f(1..n-1) mod m.
+    """compute(f, n) for n = 1..n_max, walking each m = D(n-1) to its death.
 
-    D_f(n) >= D_f(n-1): a new residue f(n) mod m confirms D(n) = m by one
-    lookup, O(1) per surviving n; a repeat costs one search above m. Every
-    search checks its candidates on the scan's one stamp table, whose slots
-    hold f(1..n) mod m stamped m after an accepting check. Once two values
-    collide, D(n) is undefined from that n on.
+    D_f(n) >= D_f(n-1), so m holds until f(n) repeats a residue mod m: one
+    lookup per surviving n, one search above m per death. The searches share
+    one stamp table, on which an accepting flat-path check leaves f(1..n)
+    marked for the walk; a modulus above the bound walks a dict from f(1). A
+    repeated value collides mod every m, so it is looked for only at a death;
+    from there on D(n) is undefined.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    values = f.values(n_max)
     results: list[DiscriminatorResult] = []
-    values: list[int] = []  # f(1..n), grown in place
-    seen_values: set[int] = set()  # checked first: no modulus separates a repeat, so no search would end
     stamps = [0]  # m = 1 discriminates the empty prefix; no slot is stamped 1 yet
-    m, residues = 1, None  # residues: f(1..n) mod m, a set only when m was accepted above the table bound
-    for n in range(1, n_max + 1):
-        v = f.evaluate(n)
-        if v in seen_values:
+    m, table, start = 1, stamps, 0  # table holds f(1..start) mod m stamped m
+    while True:
+        death = _first_repeat(values, m, table, start)
+        results.extend(DiscriminatorResult(m, k, 0) for k in range(len(results) + 1, death + 1))
+        if death == n_max:
+            return results
+        n = death + 1
+        if values.index(values[death]) < death:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
-        values.append(v)
-        seen_values.add(v)
-        r = v % m
-        if residues is None:
-            survives = stamps[r] != m
-            stamps[r] = m
-        else:
-            survives = r not in residues
-            residues.add(r)
-        if survives:
-            results.append(DiscriminatorResult(m, n, 0))
-        else:
-            results.append(_least_modulus(values, max(m + 1, n), stamps=stamps))
-            m = results[-1].value
-            residues = {u % m for u in values} if m > FLAT_TABLE_FACTOR * n else None
-    return results
+        results.append(_least_modulus(values[:n], max(m + 1, n), stamps=stamps))
+        m = results[-1].value
+        table, start = (stamps, n) if m <= FLAT_TABLE_FACTOR * n else (defaultdict(int), 0)

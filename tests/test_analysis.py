@@ -15,7 +15,7 @@ from polydisc import (
     scan,
     x_dx_minus_1,
 )
-from polydisc.ntheory import factorize, is_prime
+from polydisc.ntheory import factorize, is_prime, next_prime_satisfying
 
 from tables import POWER_FORMULA_SMALL_N
 
@@ -46,6 +46,25 @@ class TestClassifyValue:
     def test_rejects_composite_family_prime(self):
         with pytest.raises(ValueError):
             classify_value(10, 6)
+
+    def test_a_table_proves_its_prime_once(self, monkeypatch):
+        # proving a 31-digit p runs BPSW; a CSV or a Conjecture 1 check
+        # classifies many values against it but proves it once
+        p = next_prime_satisfying(10 ** 30, 0, 1)
+        proofs = []
+
+        def counted(n):
+            proofs.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(analysis.ntheory, "is_prime", counted)
+        table = run_length_table(scan(x_dx_minus_1(p), 60))
+        assert len(table.rows) > 2
+        emit_csv(table, p)
+        assert proofs.count(p) == 1
+        proofs.clear()
+        assert check_conjecture1(p, 1, 60)
+        assert proofs.count(p) == 1
 
 
 class TestRunTable:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -229,6 +230,14 @@ SCAN_CSV_20_DIGIT = (
     "10,10,31,prime\n11,12,41,prime\n"
 )
 
+# lcm(1..200) * x(29x - 1): D = 211 is found at n = 2, above the flat-table
+# bound of 64 n, and carried until f(65) and f(66) collide mod 211
+LCM_200 = math.lcm(*range(1, 201))
+SCAN_CSV_LCM_200 = (
+    "n_low,n_high,value,class\n1,1,1,unit\n2,65,211,prime\n66,112,233,prime\n"
+    "113,120,271,prime\n"
+)
+
 # Stdout, stderr and exit code of each invocation, recorded before the theorem
 # checks moved out of the CLI; the bytes must not drift.
 PINNED = [
@@ -304,6 +313,7 @@ PINNED = [
     # a scan labels its CSV against the leading coefficient's largest prime, 7 here
     (("scan", "--poly", "x*(49*x-1)", "--n-max", "60"), 0, TABLE_7_2, ""),
     (("scan", "--poly", f"x*({TWO_20_DIGIT_PRIMES}*x-1)", "--n-max", "12"), 0, SCAN_CSV_20_DIGIT, ""),
+    (("scan", "--poly", f"{29 * LCM_200}*x^2-{LCM_200}*x", "--n-max", "120"), 0, SCAN_CSV_LCM_200, ""),
     # rejected at once: a repeated --family key, an r above poly.MAX_EXPONENT
     (("table", "--family", "p=29,r=1,p=7", "--n-max", "8"), 1, "",
      "error: --family must give exactly p and r, got 'p=29,r=1,p=7'\n"),

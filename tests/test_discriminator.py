@@ -264,11 +264,24 @@ class TestScan:
         assert all(r.value is None for r in results[1:])
 
 
+def lcm_family(k, coeffs):
+    """lcm(1..k) * g for g with coefficients `coeffs`: every m <= k divides each
+    difference of its values, so D lies above k and, at small n, above the
+    flat-table bound."""
+    lcm = math.lcm(*range(1, k + 1))
+    return Polynomial.from_coeffs([lcm * c for c in coeffs])
+
+
 class TestScanCarriesSurvivors:
     @pytest.mark.parametrize(
         "f, n_max",
-        [(x_dx_minus_1(29), 500), (parse_polynomial("(x^2+x+41)^4"), 60), (P(0, -3, 1), 6)],
-        ids=["x(29x-1)", "(x^2+x+41)^4", "x(x-3)"],
+        [
+            (x_dx_minus_1(29), 500),
+            (parse_polynomial("(x^2+x+41)^4"), 60),
+            (P(0, -3, 1), 6),
+            (lcm_family(200, [0, -1, 29]), 120),  # carries D = 211 above the flat-table bound
+        ],
+        ids=["x(29x-1)", "(x^2+x+41)^4", "x(x-3)", "lcm(1..200)x(29x-1)"],
     )
     def test_candidates_count_full_checks(self, monkeypatch, f, n_max):
         # the bench's invariant: every modulus counted is one is_discriminating call, and back
@@ -294,14 +307,6 @@ VALUE_LISTS = st.one_of(
     st.lists(st.integers(-BIG, BIG), min_size=1, max_size=30),
     st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
 )
-
-
-def lcm_family(k, coeffs):
-    """lcm(1..k) * g for g with coefficients `coeffs`: every m <= k divides each
-    difference of its values, so D lies above k and, at small n, above the
-    flat-table bound."""
-    lcm = math.lcm(*range(1, k + 1))
-    return Polynomial.from_coeffs([lcm * c for c in coeffs])
 
 
 class TestStampTable:
@@ -349,6 +354,9 @@ class TestStampTable:
     @given(st.integers(20, 200), st.lists(st.integers(-9, 9), min_size=2, max_size=4), st.integers(2, 80))
     @example(200, [0, -1, 29], 80)
     @example(60, [0, 1, 0, 1], 80)
+    # D = 211 from n = 2, above the bound; it dies at n = 14 on a value from
+    # before its acceptance: 14^3 = 1 + 13 * 211, so f(14) = f(1) mod 211
+    @example(200, [0, 0, 0, 1], 40)
     def test_scan_equals_cold_compute_across_the_bound(self, k, coeffs, n_max):
         f = lcm_family(k, coeffs)
         assert [r.value for r in scan(f, n_max)] == [compute(f, n).value for n in range(1, n_max + 1)]
