@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import ntheory
 from .closedform import bsw_discriminator, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
-from .discriminator import DiscriminatorResult, _first_repeat, is_discriminating, scan
+from .discriminator import DiscriminatorResult, _first_repeat, _scramble, is_discriminating, scan
 from .poly import Polynomial
 
 
@@ -171,23 +170,23 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
     threshold is compared exactly as 10m <= 24n. An m that discriminates
     f(1..n) discriminates every prefix, so each m is checked once at its
     least allowed n, on one prefix that only grows since that n never falls
-    as m rises, and then walked on to its death. The ascending moduli share
-    one stamp table; m <= 2.4n lies below the flat-table bound, so each
-    accepting check leaves the prefix marked there for the walk.
+    as m rises, and then walked on to its death. The prefix is read in the
+    searches' fixed scrambled order (`discriminator._scramble`), so a
+    rejected m stops after a few values. The ascending moduli share one
+    stamp table; m <= 2.4n lies below the flat-table bound, so each accepting
+    check leaves the whole prefix marked there for the walk.
     """
     if n_max < 15:
         raise ValueError("check_theorem3 requires n_max >= 15")
     values = Polynomial.from_coeffs([0, -1, 1]).values(n_max)
-    unread = iter(values)  # values past the prefix
     violations: list[tuple[int, int]] = []
-    prefix: list[int] = []
+    prefix: list[int] = []  # values[:n] scrambled
     stamps: list[int] = []
     for m in range(1, 24 * n_max // 10 + 1):
         if ntheory.is_prime(m) or m & (m - 1) == 0:
             continue
         n = max(15, -(-10 * m // 24))
-        prefix.extend(islice(unread, n - len(prefix)))
-        if is_discriminating(prefix, m, stamps):
+        if is_discriminating(_scramble(values, prefix, n), m, stamps):
             violations.extend((k, m) for k in range(n, _first_repeat(values, m, stamps, n) + 1))
     return sorted(violations)
 

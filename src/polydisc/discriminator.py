@@ -3,12 +3,14 @@
 D_f(n) is the least positive m under which f(1), ..., f(n) are pairwise
 distinct mod m, or nonexistent when the values themselves collide. Each
 search computes the exact values f(1..n) once and checks every candidate m
-by reducing those integers mod m.
+by reducing those integers mod m, read in one fixed scrambled order
+(`_scramble`) so that a rejected candidate stops after a few values.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from collections import defaultdict
 from itertools import count, repeat
 from typing import NamedTuple, Optional, Sequence, Union
@@ -45,6 +47,19 @@ class DiscriminatorResult(NamedTuple):
 # Only the checks and `_first_repeat`, which walks on from one, touch a slot.
 FLAT_TABLE_FACTOR = 64
 
+# Every search reads f(1..n) in one fixed scrambled order. For x(dx - 1),
+# f(l) - f(k) = (l - k)(d(l + k) - 1), so mod a prime m above n two values
+# collide only where l + k = 1/d mod m: read in natural order, a rejected
+# check first meets such a pair near l = m/4; read in a random order, it meets
+# one of the about n/4 colliding pairs after about 2 sqrt(n) values (the
+# birthday bound). Whether values are distinct mod m does not depend on the
+# order, so the order moves only where a rejection stops. _DRAWS[i] is a
+# position drawn uniformly from 0..i, taken in turn from one fixed-seed
+# stream and kept, so the scrambled order of values[:n] depends on n alone;
+# they hold about 40 bytes per value of the longest prefix scrambled so far.
+_DRAWS: list[int] = []
+_draw = random.Random(0x5EED).random
+
 
 def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]] = None) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
@@ -56,7 +71,9 @@ def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]]
     with it must exceed every stamp already in it. Above the bound the
     residues are a set of at most len(values) entries and `stamps` is
     untouched. So memory grows with len(values), not with m. A modulus that
-    is not an integer raises TypeError on either path.
+    is not an integer raises TypeError on either path. The order of `values`
+    sets only where a rejection stops, never the answer; the searches pass
+    them in `_scramble`'s order.
     """
     m = operator.index(m)
     if not values or m < 1:
@@ -96,6 +113,23 @@ def _first_repeat(values: Sequence[int], m: int, table: Union[list[int], dict[in
     return len(values)
 
 
+def _scramble(values: Sequence[int], order: list[int], n: int) -> list[int]:
+    """Extend `order`, the scrambled values[:len(order)], to the scrambled
+    values[:n] and return it.
+
+    Inside-out Fisher-Yates: value i is appended and swapped with the one at
+    position _DRAWS[i]. So every prefix is a uniform permutation, each value
+    costs O(1), and extending in several steps gives the same list as in one.
+    """
+    for i in range(len(_DRAWS), n):
+        _DRAWS.append(int(_draw() * (i + 1)))
+    for i in range(len(order), n):
+        j = _DRAWS[i]
+        order.append(values[i])
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
     """max - min + 1 of `values` when they are distinct, else None.
 
@@ -116,7 +150,9 @@ def _least_modulus(
     integers `values` are pairwise distinct; exhausting `upper` raises ValueError.
 
     Every candidate is checked on one stamp table: `stamps`, when the caller
-    carries one whose moduli all lie below `lower`, else a new one.
+    carries one whose moduli all lie below `lower`, else a new one. Callers
+    pass the values in `_scramble`'s order, so a rejected candidate stops
+    after a few of them; any order gives the same answer and count.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
@@ -138,6 +174,7 @@ def compute(
 
     `upper`, when given, is an exclusive cap; the search needs none, so
     exhausting it raises ValueError rather than returning a wrong value.
+    The candidates read f(1..n) in `_scramble`'s order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -150,22 +187,25 @@ def compute(
     values = f.values(n)
     if trivial_upper_bound(values) is None:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(values, lower, upper)
+    return _least_modulus(_scramble(values, [], n), lower, upper)
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
     """compute(f, n) for n = 1..n_max, walking each m = D(n-1) to its death.
 
     D_f(n) >= D_f(n-1), so m holds until f(n) repeats a residue mod m: one
-    lookup per surviving n, one search above m per death. The searches share
-    one stamp table, on which an accepting flat-path check leaves f(1..n)
-    marked for the walk; a modulus above the bound walks a dict from f(1). A
+    lookup per surviving n, one search above m per death. Each search reads
+    f(1..n) in `_scramble`'s order, one list extended from death to death.
+    The searches share one stamp table, on which an accepting flat-path check
+    leaves f(1..n) marked, in whatever order it read them, for the walk to go
+    on from f(n + 1); a modulus above the bound walks a dict from f(1). A
     repeated value collides mod every m, so it is looked for only at a death;
     from there on D(n) is undefined.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = f.values(n_max)
+    order: list[int] = []  # f(1..n) scrambled, for the last search's n
     results: list[DiscriminatorResult] = []
     stamps = [0]  # m = 1 discriminates the empty prefix; no slot is stamped 1 yet
     m, table, start = 1, stamps, 0  # table holds f(1..start) mod m stamped m
@@ -177,6 +217,6 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
         n = death + 1
         if values.index(values[death]) < death:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
-        results.append(_least_modulus(values[:n], max(m + 1, n), stamps=stamps))
+        results.append(_least_modulus(_scramble(values, order, n), max(m + 1, n), stamps=stamps))
         m = results[-1].value
         table, start = (stamps, n) if m <= FLAT_TABLE_FACTOR * n else (defaultdict(int), 0)

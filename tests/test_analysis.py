@@ -177,6 +177,9 @@ class TestTheorem3:
     def test_empty_at_100(self):
         assert check_theorem3(100) == []
 
+    def test_empty_at_3000(self):
+        assert check_theorem3(3000) == []
+
     def test_below_range_rejected(self):
         with pytest.raises(ValueError):
             check_theorem3(14)

@@ -270,6 +270,8 @@ PINNED = [
      "PASS: no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= 20\n", ""),
     (("verify", "--theorem", "3", "--n-max", "1000"), 0,
      "PASS: no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= 1000\n", ""),
+    (("verify", "--theorem", "3", "--n-max", "3000"), 0,
+     "PASS: no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= 3000\n", ""),
     (("verify", "--theorem", "4", "--seed", "7"), 0,
      "PASS: sandwich D_f <= D_pf <= p*D_f held for 200 random (f, p, n)\n", ""),
     (("verify", "--theorem", "4", "--seed", "42"), 0,

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -298,6 +301,57 @@ class TestScanCarriesSurvivors:
     def test_equals_cold_compute_through_deaths(self, d):
         f = x_dx_minus_1(d)
         assert [r.value for r in scan(f, 300)] == [compute(f, n).value for n in range(1, 301)]
+
+
+class TestScrambledOrder:
+    """Every search reads f(1..n) in one fixed scrambled order (`_scramble`)."""
+
+    VALUES = [7, -3, 7] + x_dx_minus_1(29).values(297)  # a repeat, a negative
+
+    def test_every_prefix_is_a_permutation(self):
+        for n in range(len(self.VALUES) + 1):
+            assert sorted(discriminator._scramble(self.VALUES, [], n)) == sorted(self.VALUES[:n])
+        assert discriminator._scramble(self.VALUES, [], 300) != self.VALUES
+
+    def test_two_calls_give_the_same_order(self):
+        # one call here, after other tests asked for other lengths, and one in
+        # a fresh process: the order may depend on n alone
+        src = os.path.dirname(os.path.dirname(discriminator.__file__))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from polydisc import discriminator; "
+            "print(discriminator._scramble(list(range(300)), [], 300))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out == f"{discriminator._scramble(list(range(300)), [], 300)}\n"
+
+    def test_extending_in_steps_equals_extending_at_once(self):
+        order = []
+        for n in (0, 1, 2, 17, 17, 150, 300):
+            assert discriminator._scramble(self.VALUES, order, n) is order
+        assert order == discriminator._scramble(self.VALUES, [], 300)
+
+    def test_rejected_checks_stop_early(self, monkeypatch):
+        # values each check reads before it exits; read in natural order, the
+        # checks of this scan read 1,240,674
+        reads = []
+
+        def counted(values, m, stamps=None):
+            seen = set()
+            for i, v in enumerate(values):
+                if v % m in seen:
+                    reads.append(i + 1)
+                    break
+                seen.add(v % m)
+            else:
+                reads.append(len(values))
+            return is_discriminating(values, m, stamps)
+
+        monkeypatch.setattr(discriminator, "is_discriminating", counted)
+        results = scan(x_dx_minus_1(29), 3000)
+        assert len(reads) == sum(r.candidates_tested for r in results) == 6322
+        assert sum(reads) < 400_000
 
 
 # Every value drawn for the table contract: repeats, negatives, values beyond
