@@ -148,6 +148,13 @@ def check_theorem4(f: Polynomial, p: int, n: int) -> SandwichReport:
     Both sides come from the brute-force oracle, never a closed form, so the
     check cannot be circular. Nonexistent D_f implies nonexistent D_{pf}
     (the same value collisions survive scaling) and counts as holding.
+
+    The sandwich rests on one identity: with c dividing every difference,
+    f(1..n) collide mod m exactly when (f(i) - f(1)) / c collide mod
+    m / gcd(m, c). The D_pf search uses that identity itself, to skip the
+    moduli a smaller one decides (`discriminator._least_modulus`), so here
+    the oracle leans on the reasoning it checks; the all-pairs differential
+    tests over scaled polynomials, which use neither, keep it honest.
     """
     if not ntheory.is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -2,9 +2,23 @@
 
 D_f(n) is the least positive m under which f(1), ..., f(n) are pairwise
 distinct mod m, or nonexistent when the values themselves collide. Each
-search computes the exact values f(1..n) once and checks every candidate m
+search computes the exact values f(1..n) once and checks candidate moduli m
 by reducing those integers mod m, read in one fixed scrambled order
 (`_scramble`) so that a rejected candidate stops after a few values.
+
+A search skips the candidates that a smaller, already settled modulus
+decides. Let c divide every difference f(l) - f(k) (`_common_difference`),
+g = gcd(m, c) and x = m / g. As gcd(x, c / g) = 1, for every integer e
+
+    m | c e  <=>  x | (c / g) e  <=>  x | e,
+
+so f(1..n) collide mod m exactly when the integers (f(i) - f(1)) / c
+collide mod x: the identity behind Theorem 4's sandwich D_f <= D_pf <= p D_f.
+When g > 1 (so x < m), m fails without a check if x < n, since n integers
+share a residue mod x, or if gcd(x, c) = 1 and x is known to fail, since then
+x | c e <=> x | e as well and m fails exactly when x does. Either way a
+skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
+m | f(l) - f(k); in the second case it is x's own witness pair.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ import operator
 import random
 from collections import defaultdict
 from itertools import count, repeat
+from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .poly import Polynomial
@@ -143,16 +158,43 @@ def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
     return max(values) - min(values) + 1
 
 
+def _common_difference(values: Sequence[int]) -> int:
+    """gcd of every v - values[0], stopping once it reaches 1; 1 when the
+    values are all equal. It divides every difference of `values`. The
+    differences are taken one at a time, never as a list: a value can have
+    10^6 bits."""
+    c, first = 0, values[0]
+    for v in values:
+        c = gcd(c, v - first)
+        if c == 1:
+            break
+    return c or 1
+
+
 def _least_modulus(
-    values: Sequence[int], lower: int, upper: Optional[int] = None, stamps: Optional[list[int]] = None
+    values: Sequence[int],
+    lower: int,
+    upper: Optional[int] = None,
+    stamps: Optional[list[int]] = None,
+    c: int = 1,
+    settled: bool = False,
 ) -> DiscriminatorResult:
     """The least m >= lower (and < upper, when given) under which the distinct
     integers `values` are pairwise distinct; exhausting `upper` raises ValueError.
 
-    Every candidate is checked on one stamp table: `stamps`, when the caller
-    carries one whose moduli all lie below `lower`, else a new one. Callers
-    pass the values in `_scramble`'s order, so a rejected candidate stops
-    after a few of them; any order gives the same answer and count.
+    The candidates it checks share one stamp table: `stamps`, when the caller
+    carries one whose moduli all lie below `lower`, else a new one.
+    Callers pass the values in `_scramble`'s order, so a rejected candidate
+    stops after a few of them; any order gives the same answer and count.
+
+    `c` divides every difference of `values`. With g = gcd(m, c) > 1 and
+    x = m / g, a candidate m is skipped, unchecked and uncounted, when x < n =
+    len(values), or when gcd(x, c) = 1 and x is settled, that is known to
+    fail: m then fails exactly as x does (see the module docstring), and
+    inherits x's witness pair. Every modulus below n is settled, and so is
+    every one from `lower` up to the current candidate; `settled` says that
+    those in [n, lower) are too, as in a scan, whose search starts above a
+    modulus that has just died. The default c = 1 skips nothing.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
@@ -160,10 +202,18 @@ def _least_modulus(
     """
     if stamps is None:
         stamps = []
+    n, tested = len(values), 0
+    floor = 1 if settled else lower  # x is settled when x < n or floor <= x < m
     for m in count(lower) if upper is None else range(lower, upper):
+        g = gcd(m, c)
+        if g > 1:
+            x = m // g
+            if x < n or (x >= floor and gcd(x, c) == 1):
+                continue
+        tested += 1
         if is_discriminating(values, m, stamps):
-            return DiscriminatorResult(m, len(values), m - lower + 1)
-    raise ValueError(f"no discriminating modulus in [{lower}, {upper}) at n={len(values)}")
+            return DiscriminatorResult(m, n, tested)
+    raise ValueError(f"no discriminating modulus in [{lower}, {upper}) at n={n}")
 
 
 def compute(
@@ -174,7 +224,13 @@ def compute(
 
     `upper`, when given, is an exclusive cap; the search needs none, so
     exhausting it raises ValueError rather than returning a wrong value.
-    The candidates read f(1..n) in `_scramble`'s order.
+    The candidates read f(1..n) in `_scramble`'s order. With c the gcd of the
+    differences of f(1..n), a candidate m = g x with g = gcd(m, c) > 1 is
+    skipped unchecked when x < n, or when gcd(x, c) = 1 and x lies in
+    [lower, m), checked or skipped already: m | c e <=> x | e, so m fails as
+    x does and inherits x's witness pair. A modulus in [n, lower) was never
+    looked at, so it settles nothing: compute(2x, 2, lower=6) checks 6,
+    although 6 = 2 * 3 and 3 discriminates {2, 4}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -187,7 +243,7 @@ def compute(
     values = f.values(n)
     if trivial_upper_bound(values) is None:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(_scramble(values, [], n), lower, upper)
+    return _least_modulus(_scramble(values, [], n), lower, upper, c=_common_difference(values))
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
@@ -201,10 +257,18 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
     on from f(n + 1); a modulus above the bound walks a dict from f(1). A
     repeated value collides mod every m, so it is looked for only at a death;
     from there on D(n) is undefined.
+
+    c, the gcd of the differences of all of f(1..n_max), divides those of
+    every prefix. Every modulus below a search's first candidate max(m + 1, n)
+    is settled: below n by pigeonhole, below m since m = D(n-1) was least for
+    f(1..n-1), and m itself by its death. So a candidate m' = g x with
+    g = gcd(m', c) > 1 is skipped unchecked when x < n or gcd(x, c) = 1: it
+    fails as x < m' does, and inherits x's witness pair.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = f.values(n_max)
+    c = _common_difference(values)
     order: list[int] = []  # f(1..n) scrambled, for the last search's n
     results: list[DiscriminatorResult] = []
     stamps = [0]  # m = 1 discriminates the empty prefix; no slot is stamped 1 yet
@@ -217,6 +281,6 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
         n = death + 1
         if values.index(values[death]) < death:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
-        results.append(_least_modulus(_scramble(values, order, n), max(m + 1, n), stamps=stamps))
+        results.append(_least_modulus(_scramble(values, order, n), max(m + 1, n), stamps=stamps, c=c, settled=True))
         m = results[-1].value
         table, start = (stamps, n) if m <= FLAT_TABLE_FACTOR * n else (defaultdict(int), 0)

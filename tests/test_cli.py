@@ -311,6 +311,8 @@ PINNED = [
     (("compute", "--poly", "x", "--n", "5", "--lower", "3", "--upper", "3"), 1, "",
      "error: no discriminating modulus in [3, 4) at n=5\n"),
     (("compute", "--poly", "x", "--n", "5", "--lower", "1000"), 0, "D = 1000\n", ""),
+    # 6 = 2 * 3 and 3 discriminates {2, 4}, but 3 lies below the window
+    (("compute", "--poly", "2*x", "--n", "2", "--lower", "6"), 0, "D = 6\n", ""),
     (("compute", "--poly", "7", "--n", "2", "--upper", "3"), 0, "D = infinity\n", ""),
     # a scan labels its CSV against the leading coefficient's largest prime, 7 here
     (("scan", "--poly", "x*(49*x-1)", "--n-max", "60"), 0, TABLE_7_2, ""),

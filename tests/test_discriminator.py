@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,8 +32,8 @@ def P(*coeffs):
 class TestResultRecord:
     def test_repr_and_frozen_fields(self):
         result = compute(P(0, -1, 29), 5)
-        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=11)"
-        assert result == DiscriminatorResult(15, 5, 11) and result.exists
+        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=7)"
+        assert result == DiscriminatorResult(15, 5, 7) and result.exists
         with pytest.raises(AttributeError):
             result.value = 16
 
@@ -216,8 +218,10 @@ class TestCompute:
 
     def test_candidates_tested_counts_scan(self):
         result = compute(x_dx_minus_1(29), 5)
-        # default lower bound is n = 5; value 15 means 11 candidates were tried
-        assert result.candidates_tested == 15 - 5 + 1
+        # the search runs from n = 5 to 15, and every difference of f(1..5) is
+        # even (c = 2): 6 and 8 reduce to 3 and 4, below n; 10 and 14 to 5 and
+        # 7, odd and already rejected. The other 7 are checked in full.
+        assert result.candidates_tested == 7
 
     def test_inconsistent_bounds_rejected(self):
         with pytest.raises(ValueError, match="inconsistent bounds"):
@@ -333,8 +337,8 @@ class TestScrambledOrder:
         assert order == discriminator._scramble(self.VALUES, [], 300)
 
     def test_rejected_checks_stop_early(self, monkeypatch):
-        # values each check reads before it exits; read in natural order, the
-        # checks of this scan read 1,240,674
+        # values each check reads before it exits: 243,539 here; read in
+        # natural order, the same 4,521 checks read 994,053
         reads = []
 
         def counted(values, m, stamps=None):
@@ -350,7 +354,7 @@ class TestScrambledOrder:
 
         monkeypatch.setattr(discriminator, "is_discriminating", counted)
         results = scan(x_dx_minus_1(29), 3000)
-        assert len(reads) == sum(r.candidates_tested for r in results) == 6322
+        assert len(reads) == sum(r.candidates_tested for r in results) == 4521
         assert sum(reads) < 400_000
 
 
@@ -473,6 +477,63 @@ def naive_discriminator(f, n, lower=1):
     return m
 
 
+@contextmanager
+def recorded_checks():
+    """The moduli passed to discriminator.is_discriminating while open, in order."""
+    moduli = []
+
+    def recorded(values, m, stamps=None):
+        moduli.append(m)
+        return is_discriminating(values, m, stamps)
+
+    with mock.patch.object(discriminator, "is_discriminating", recorded):
+        yield moduli
+
+
+def assert_checks(values, lower, result, checked):
+    """`result` came from checking the moduli `checked` of one search from
+    `lower`: it counts them, they lie in [lower, value] and end at the value,
+    and every modulus skipped between them fails the all-pairs oracle. When
+    `values` have no common difference c > 1, none is skipped."""
+    assert result.candidates_tested == len(checked)
+    assert all(lower <= m <= result.value for m in checked) and checked[-1] == result.value
+    skipped = set(range(lower, result.value)).difference(checked)
+    assert not any(all_pairs_distinct(values, m) for m in skipped)
+    if math.gcd(*(v - values[0] for v in values)) <= 1:
+        assert result.candidates_tested == result.value - lower + 1
+
+
+def assert_searches_agree(f, n_max, lower):
+    """scan, compute and compute from `lower` equal the all-pairs oracle on
+    f(1..n) for every n <= n_max, and every modulus they skip fails it."""
+    with recorded_checks() as scanned:
+        results = scan(f, n_max)
+    prev = 1
+    for n in range(1, n_max + 1):
+        values = f.values(n)
+        expected, expected_windowed = naive_discriminator(f, n), naive_discriminator(f, n, lower)
+        with recorded_checks() as cold_checked:
+            cold = compute(f, n)
+        with recorded_checks() as windowed_checked:
+            windowed = compute(f, n, lower=lower)
+        warm = results[n - 1]
+        assert warm.value == cold.value == expected
+        assert windowed.value == expected_windowed
+        if expected is None:
+            assert warm.candidates_tested == cold.candidates_tested == windowed.candidates_tested == 0
+            continue
+        assert_checks(values, n, cold, cold_checked)
+        assert_checks(values, lower, windowed, windowed_checked)
+        if expected == prev:
+            # a surviving D(n-1) is confirmed by one lookup
+            assert warm.candidates_tested == 0
+        else:
+            # a new value is searched for above it; a scan's moduli only increase
+            first = max(prev + 1, n)
+            assert_checks(values, first, warm, [m for m in scanned if first <= m <= expected])
+        prev = expected
+
+
 class TestSearchDifferential:
     @settings(max_examples=150, deadline=None)
     # |f(i)| < 4e5 for these coefficients and n, so a lower of 10^6 or more
@@ -488,21 +549,30 @@ class TestSearchDifferential:
     @example([0, 1], 5, 4)  # spread 4: the window starts at it and moves to 5
     @example([0, 1], 5, 5)  # ... or starts just above it
     @example([0, -40, 1], 40, 1)  # x(x-40): survivors, then f(1) = f(39)
+    # 2x from lower 6: 6 = 2 * 3, but 3 lies in [n, lower), never looked at,
+    # and discriminates {2, 4}; treating it as settled would skip 6 and give 7
+    @example([0, 2], 2, 6)
     def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max, lower):
-        f = P(*coeffs)
-        results = scan(f, n_max)
-        prev = 1
-        for n in range(1, n_max + 1):
-            expected = naive_discriminator(f, n)
-            warm, cold = results[n - 1], compute(f, n)
-            assert warm.value == cold.value == expected
-            windowed, expected_windowed = compute(f, n, lower=lower), naive_discriminator(f, n, lower)
-            assert windowed.value == expected_windowed
-            if expected is None:
-                assert warm.candidates_tested == cold.candidates_tested == windowed.candidates_tested == 0
-                continue
-            assert windowed.candidates_tested == expected_windowed - lower + 1
-            assert cold.candidates_tested == expected - n + 1
-            # a surviving D(n-1) is confirmed by one lookup; a new value is searched for above it
-            assert warm.candidates_tested == (0 if expected == prev else expected - max(prev + 1, n) + 1)
-            prev = expected
+        assert_searches_agree(P(*coeffs), n_max, lower)
+
+    @settings(max_examples=200, deadline=None)
+    # k f has every difference divisible by k, so c > 1 and the searches skip
+    @given(
+        st.lists(st.integers(-9, 9), max_size=4),
+        st.integers(2, 30),
+        st.integers(1, 14),
+        st.integers(1, 60),
+    )
+    @example([0, -1, 29], 2, 5, 1)  # 2x(29x-1): c = 4
+    @example([0, 1], 2, 2, 6)  # 2x from lower 6, as above
+    @example([0, 1], 6, 9, 4)  # 6x: c = 6 from n = 2
+    @example([1, 1, 1], 30, 12, 1)  # 30(x^2+x+1): c = 60
+    def test_scaled_polynomials_agree(self, coeffs, k, n_max, lower):
+        assert_searches_agree(P(*coeffs).scale(k), n_max, lower)
+
+    def test_wide_scan_checks(self):
+        # c = 240 for (x^2+x+41)^4, and D(700) = 31,051: checking every
+        # candidate took 31,050 checks; the skipped moduli leave 12,672
+        results = scan(parse_polynomial("(x^2+x+41)^4"), 700)
+        assert results[-1].value == 31051
+        assert sum(r.candidates_tested for r in results) == 12672
