@@ -19,6 +19,19 @@ share a residue mod x, or if gcd(x, c) = 1 and x is known to fail, since then
 x | c e <=> x | e as well and m fails exactly when x does. Either way a
 skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
 m | f(l) - f(k); in the second case it is x's own witness pair.
+
+A quadratic f = a x^2 + b x + e names a colliding pair itself: f(l) - f(k) =
+(l - k)(a(l + k) + b), so m fails once it divides a s + b for some s = l + k
+that two indices in 1..n can make. That congruence is solvable exactly when
+h = gcd(a, m) divides b, with s = (-b / h)(a / h)^-1 (mod m / h)
+(`_quadratic_pair`). An odd s is made by the neighbours ((s - 1) / 2,
+(s + 1) / 2), with f(l) - f(k) = a s + b, and an even s by (s / 2 - 1,
+s / 2 + 1), with f(l) - f(k) = 2(a s + b); so the least solution s >= 3
+gives a pair in range exactly when s <= 2n - 1. A search skips such an m,
+unchecked, once the pair also collides in the exact values, so the algebra
+can cost a check but never change an answer. Otherwise, as for the accepting
+modulus, a pair splitting m across both factors, h not dividing b, or f of
+another degree, m is checked.
 """
 
 from __future__ import annotations
@@ -158,6 +171,16 @@ def trivial_upper_bound(values: Sequence[int]) -> Optional[int]:
     return max(values) - min(values) + 1
 
 
+def _first_equal(values: Sequence[int]) -> int:
+    """Index of the first value equal to an earlier one, or len(values)."""
+    seen: set[int] = set()
+    for i, v in enumerate(values):
+        if v in seen:
+            return i
+        seen.add(v)
+    return len(values)
+
+
 def _common_difference(values: Sequence[int]) -> int:
     """gcd of every v - values[0], stopping once it reaches 1; 1 when the
     values are all equal. It divides every difference of `values`. The
@@ -171,6 +194,21 @@ def _common_difference(values: Sequence[int]) -> int:
     return c or 1
 
 
+def _quadratic_pair(a: int, b: int, m: int, n: int) -> Optional[tuple[int, int]]:
+    """The pair (k, l), 1 <= k < l <= n, that the least s = l + k >= 3 with
+    m | a s + b makes (see the module docstring), so that m | f(l) - f(k) for
+    f = a x^2 + b x + e; None when gcd(a, m) does not divide b or that s
+    exceeds 2n - 1. `a` must be nonzero."""
+    h = gcd(a, m)
+    if b % h:
+        return None
+    step = m // h
+    s = 3 + (-(b // h) * pow(a // h, -1, step) - 3) % step
+    if s >= 2 * n:
+        return None
+    return ((s - 1) // 2, (s + 1) // 2) if s & 1 else (s // 2 - 1, s // 2 + 1)
+
+
 def _least_modulus(
     values: Sequence[int],
     lower: int,
@@ -178,6 +216,8 @@ def _least_modulus(
     stamps: Optional[list[int]] = None,
     c: int = 1,
     settled: bool = False,
+    f: Optional[Polynomial] = None,
+    exact: Sequence[int] = (),
 ) -> DiscriminatorResult:
     """The least m >= lower (and < upper, when given) under which the distinct
     integers `values` are pairwise distinct; exhausting `upper` raises ValueError.
@@ -194,7 +234,13 @@ def _least_modulus(
     inherits x's witness pair. Every modulus below n is settled, and so is
     every one from `lower` up to the current candidate; `settled` says that
     those in [n, lower) are too, as in a scan, whose search starts above a
-    modulus that has just died. The default c = 1 skips nothing.
+    modulus that has just died.
+
+    When `f` is quadratic and `exact` holds f(1..N) in order, N >= n, a
+    candidate that survives that test is skipped too, unchecked and
+    uncounted, when `_quadratic_pair` names a pair (k, l) and exact[l - 1] -
+    exact[k - 1] is divisible by m. So `candidates_tested` counts
+    is_discriminating calls. The defaults c = 1 and f = None skip nothing.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
@@ -204,11 +250,18 @@ def _least_modulus(
         stamps = []
     n, tested = len(values), 0
     floor = 1 if settled else lower  # x is settled when x < n or floor <= x < m
+    quadratic = f is not None and f.degree == 2
+    if quadratic:
+        _, b, a = f.coeffs
     for m in count(lower) if upper is None else range(lower, upper):
         g = gcd(m, c)
         if g > 1:
             x = m // g
             if x < n or (x >= floor and gcd(x, c) == 1):
+                continue
+        if quadratic:
+            pair = _quadratic_pair(a, b, m, n)
+            if pair is not None and (exact[pair[1] - 1] - exact[pair[0] - 1]) % m == 0:
                 continue
         tested += 1
         if is_discriminating(values, m, stamps):
@@ -230,7 +283,9 @@ def compute(
     [lower, m), checked or skipped already: m | c e <=> x | e, so m fails as
     x does and inherits x's witness pair. A modulus in [n, lower) was never
     looked at, so it settles nothing: compute(2x, 2, lower=6) checks 6,
-    although 6 = 2 * 3 and 3 discriminates {2, 4}.
+    although 6 = 2 * 3 and 3 discriminates {2, 4}. For a quadratic f, a
+    candidate is also skipped unchecked when `_quadratic_pair` names a pair
+    of f(1..n) that collides mod it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -243,7 +298,7 @@ def compute(
     values = f.values(n)
     if trivial_upper_bound(values) is None:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(_scramble(values, [], n), lower, upper, c=_common_difference(values))
+    return _least_modulus(_scramble(values, [], n), lower, upper, c=_common_difference(values), f=f, exact=values)
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
@@ -263,12 +318,16 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
     is settled: below n by pigeonhole, below m since m = D(n-1) was least for
     f(1..n-1), and m itself by its death. So a candidate m' = g x with
     g = gcd(m', c) > 1 is skipped unchecked when x < n or gcd(x, c) = 1: it
-    fails as x < m' does, and inherits x's witness pair.
+    fails as x < m' does, and inherits x's witness pair. For a quadratic f,
+    so is a candidate for which `_quadratic_pair` names a colliding pair.
+
+    The first exact repeat is found once, by one set pass (`_first_equal`);
+    a death at its index ends the scan.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = f.values(n_max)
-    c = _common_difference(values)
+    c, repeat_at = _common_difference(values), _first_equal(values)
     order: list[int] = []  # f(1..n) scrambled, for the last search's n
     results: list[DiscriminatorResult] = []
     stamps = [0]  # m = 1 discriminates the empty prefix; no slot is stamped 1 yet
@@ -279,8 +338,9 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
         if death == n_max:
             return results
         n = death + 1
-        if values.index(values[death]) < death:
+        if death == repeat_at:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
-        results.append(_least_modulus(_scramble(values, order, n), max(m + 1, n), stamps=stamps, c=c, settled=True))
+        order = _scramble(values, order, n)
+        results.append(_least_modulus(order, max(m + 1, n), stamps=stamps, c=c, settled=True, f=f, exact=values))
         m = results[-1].value
         table, start = (stamps, n) if m <= FLAT_TABLE_FACTOR * n else (defaultdict(int), 0)

@@ -1,6 +1,20 @@
 import signal
+import warnings
 
 import pytest
+
+# hypothesis's pytest plugin imports hypothesis.extra._patching to report a
+# failing example. Where libcst is installed, that import loads mypy_extensions,
+# which warns DeprecationWarning; under -W error the warning turns the report
+# of the first failing example into an INTERNALERROR that ends the run. The
+# module is imported once here, with that warning ignored, so a failure is
+# reported as a failure. Without libcst the import fails and nothing changes.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # A hang fails its test rather than stalling the run: pytest-timeout is not a
 # dependency, so each test gets a stdlib alarm where the platform has SIGALRM

@@ -32,8 +32,8 @@ def P(*coeffs):
 class TestResultRecord:
     def test_repr_and_frozen_fields(self):
         result = compute(P(0, -1, 29), 5)
-        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=7)"
-        assert result == DiscriminatorResult(15, 5, 7) and result.exists
+        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=1)"
+        assert result == DiscriminatorResult(15, 5, 1) and result.exists
         with pytest.raises(AttributeError):
             result.value = 16
 
@@ -220,8 +220,11 @@ class TestCompute:
         result = compute(x_dx_minus_1(29), 5)
         # the search runs from n = 5 to 15, and every difference of f(1..5) is
         # even (c = 2): 6 and 8 reduce to 3 and 4, below n; 10 and 14 to 5 and
-        # 7, odd and already rejected. The other 7 are checked in full.
-        assert result.candidates_tested == 7
+        # 7, odd and already rejected. f is quadratic, so 5, 7, 9, 11, 12 and
+        # 13 each divide 29 s - 1 for some s = l + k <= 2n - 1 and are
+        # rejected by the pair (k, l): 5 by (1, 3), 13 by (4, 5). Only 15 is
+        # checked in full.
+        assert result.candidates_tested == 1
 
     def test_inconsistent_bounds_rejected(self):
         with pytest.raises(ValueError, match="inconsistent bounds"):
@@ -269,6 +272,19 @@ class TestScan:
         results = scan(P(0, -3, 1), 4)
         assert results[0].value == 1
         assert all(r.value is None for r in results[1:])
+
+    @pytest.mark.parametrize(
+        "f, repeat_n",
+        [(P(0, -60, 1), 31), (P(-3, 1) * P(-20, 1) * P(-35, 1), 20)],
+        ids=["x(x-60)", "(x-3)(x-20)(x-35)"],
+    )
+    def test_repeat_after_several_deaths(self, f, repeat_n):
+        # f(29) = f(31) for x(x - 60), f(3) = f(20) for the cubic: the first
+        # exact repeat ends the scan only at the death at its index
+        values = [r.value for r in scan(f, 40)]
+        assert values == [naive_discriminator(f, n) for n in range(1, 41)]
+        assert values.index(None) == repeat_n - 1 and len(set(values[: repeat_n - 1])) >= 8
+        assert discriminator._first_equal(f.values(40)) == repeat_n - 1
 
 
 def lcm_family(k, coeffs):
@@ -337,8 +353,10 @@ class TestScrambledOrder:
         assert order == discriminator._scramble(self.VALUES, [], 300)
 
     def test_rejected_checks_stop_early(self, monkeypatch):
-        # values each check reads before it exits: 243,539 here; read in
-        # natural order, the same 4,521 checks read 994,053
+        # values each check reads before it exits: 67,969 here, 51,950 of
+        # them by the 53 accepting checks; read in natural order, the same
+        # 421 checks read 89,113. Before quadratic candidates were rejected
+        # by a constructed pair, 4,521 checks read 243,539.
         reads = []
 
         def counted(values, m, stamps=None):
@@ -354,8 +372,8 @@ class TestScrambledOrder:
 
         monkeypatch.setattr(discriminator, "is_discriminating", counted)
         results = scan(x_dx_minus_1(29), 3000)
-        assert len(reads) == sum(r.candidates_tested for r in results) == 4521
-        assert sum(reads) < 400_000
+        assert len(reads) == sum(r.candidates_tested for r in results) == 421
+        assert sum(reads) < 75_000
 
 
 # Every value drawn for the table contract: repeats, negatives, values beyond
@@ -490,22 +508,24 @@ def recorded_checks():
         yield moduli
 
 
-def assert_checks(values, lower, result, checked):
+def assert_checks(values, lower, result, checked, quadratic):
     """`result` came from checking the moduli `checked` of one search from
     `lower`: it counts them, they lie in [lower, value] and end at the value,
     and every modulus skipped between them fails the all-pairs oracle. When
-    `values` have no common difference c > 1, none is skipped."""
+    `values` have no common difference c > 1 and their polynomial is not
+    `quadratic`, so that no skip applies, none is skipped."""
     assert result.candidates_tested == len(checked)
     assert all(lower <= m <= result.value for m in checked) and checked[-1] == result.value
     skipped = set(range(lower, result.value)).difference(checked)
     assert not any(all_pairs_distinct(values, m) for m in skipped)
-    if math.gcd(*(v - values[0] for v in values)) <= 1:
+    if not quadratic and math.gcd(*(v - values[0] for v in values)) <= 1:
         assert result.candidates_tested == result.value - lower + 1
 
 
 def assert_searches_agree(f, n_max, lower):
     """scan, compute and compute from `lower` equal the all-pairs oracle on
     f(1..n) for every n <= n_max, and every modulus they skip fails it."""
+    quadratic = f.degree == 2
     with recorded_checks() as scanned:
         results = scan(f, n_max)
     prev = 1
@@ -522,15 +542,15 @@ def assert_searches_agree(f, n_max, lower):
         if expected is None:
             assert warm.candidates_tested == cold.candidates_tested == windowed.candidates_tested == 0
             continue
-        assert_checks(values, n, cold, cold_checked)
-        assert_checks(values, lower, windowed, windowed_checked)
+        assert_checks(values, n, cold, cold_checked, quadratic)
+        assert_checks(values, lower, windowed, windowed_checked, quadratic)
         if expected == prev:
             # a surviving D(n-1) is confirmed by one lookup
             assert warm.candidates_tested == 0
         else:
             # a new value is searched for above it; a scan's moduli only increase
             first = max(prev + 1, n)
-            assert_checks(values, first, warm, [m for m in scanned if first <= m <= expected])
+            assert_checks(values, first, warm, [m for m in scanned if first <= m <= expected], quadratic)
         prev = expected
 
 
@@ -548,7 +568,7 @@ class TestSearchDifferential:
     @example([0, -3, 1], 6, 1)  # x(x-3): f(1) = f(2)
     @example([0, 1], 5, 4)  # spread 4: the window starts at it and moves to 5
     @example([0, 1], 5, 5)  # ... or starts just above it
-    @example([0, -40, 1], 40, 1)  # x(x-40): survivors, then f(1) = f(39)
+    @example([0, -40, 1], 40, 1)  # x(x-40): survivors, then f(19) = f(21)
     # 2x from lower 6: 6 = 2 * 3, but 3 lies in [n, lower), never looked at,
     # and discriminates {2, 4}; treating it as settled would skip 6 and give 7
     @example([0, 2], 2, 6)
@@ -576,3 +596,87 @@ class TestSearchDifferential:
         results = scan(parse_polynomial("(x^2+x+41)^4"), 700)
         assert results[-1].value == 31051
         assert sum(r.candidates_tested for r in results) == 12672
+
+
+@contextmanager
+def recorded_pairs():
+    """(a, b, m, n, pair) for each discriminator._quadratic_pair call while open."""
+    calls = []
+    helper = discriminator._quadratic_pair
+
+    def recorded(a, b, m, n):
+        pair = helper(a, b, m, n)
+        calls.append((a, b, m, n, pair))
+        return pair
+
+    with mock.patch.object(discriminator, "_quadratic_pair", recorded):
+        yield calls
+
+
+NONZERO = st.integers(-60, 60).filter(bool)
+
+
+class TestQuadraticPair:
+    """A quadratic's candidates are rejected by a constructed pair (k, l),
+    f(l) - f(k) = (l - k)(a(l + k) + b), before any residue is read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        NONZERO,
+        st.integers(-60, 60),
+        st.one_of(st.integers(1, 300), st.integers(10 ** 6, 10 ** 30)),
+        st.integers(1, 80),
+    )
+    @example(29, -1, 5, 5)  # x(29x-1): s = 4, the pair (1, 3)
+    @example(-29, 1, 13, 5)  # negative a: s = 9, the pair (4, 5)
+    @example(6, 3, 9, 10)  # h = gcd(6, 9) = 3 divides b: s = 1 (mod 3), so 4
+    @example(6, 1, 4, 10)  # h = 2 does not divide b: no s at all
+    @example(1, -40, 41, 20)  # x(x-40): s = 40 = 2n, just out of range
+    @example(3, 0, 1, 2)  # m = 1 divides everything: s = 3, the pair (1, 2)
+    @example(2, 0, 5, 1)  # n = 1: no pair in 1..n
+    def test_names_the_least_pair(self, a, b, m, n):
+        sums = [s for s in range(3, 2 * n) if (a * s + b) % m == 0]
+        pair = discriminator._quadratic_pair(a, b, m, n)
+        if not sums:
+            assert pair is None
+            return
+        k, l = pair
+        assert 1 <= k < l <= n and k + l == sums[0] and l - k in (1, 2)
+        f = P(7, b, a)
+        assert (f.evaluate(l) - f.evaluate(k)) % m == 0
+
+    @settings(max_examples=150, deadline=None)
+    # |f(i)| < 4e5 for these coefficients and n, so a lower of 10^6 or more
+    # lies above every spread and is itself the answer
+    @given(
+        st.integers(-30, 30).filter(bool),
+        st.integers(-30, 30),
+        st.integers(-30, 30),
+        st.integers(1, 6),
+        st.integers(1, 14),
+        st.one_of(st.integers(1, 40), st.integers(10 ** 6, 10 ** 7)),
+    )
+    @example(-29, 1, 0, 1, 14, 1)  # -x(29x-1): negative a
+    @example(29, -1, 0, 1, 14, 1)  # x(29x-1): negative b
+    @example(6, 3, 0, 1, 14, 1)  # gcd(6, m) = 3 divides b = 3, and c = 3
+    @example(6, 1, 0, 1, 14, 1)  # gcd(6, m) = 2 never divides b = 1
+    @example(1, 1, 1, 30, 12, 1)  # 30(x^2+x+1): c = 60, both skips
+    @example(29, -1, 0, 2, 14, 1)  # 2x(29x-1): c = 4
+    @example(1, -40, 0, 1, 40, 1)  # x(x-40): survivors, then f(19) = f(21)
+    @example(29, -1, 0, 1, 10, 16)  # a window above D(5) = 15
+    def test_searches_agree_and_every_pair_collides(self, a, b, e, k, n_max, lower):
+        f = P(e, b, a).scale(k)
+        with recorded_pairs() as pairs:
+            assert_searches_agree(f, n_max, lower)
+        for pa, pb, m, n, pair in pairs:
+            assert (pa, pb) == (k * a, k * b)
+            if pair is not None:
+                lo, hi = pair
+                assert 1 <= lo < hi <= n and (f.evaluate(hi) - f.evaluate(lo)) % m == 0
+
+    def test_other_degrees_never_build_a_pair(self):
+        with recorded_pairs() as pairs:
+            scan(parse_polynomial("(x^2+x+41)^4"), 60)
+            scan(P(0, 1), 30)
+            compute(P(0, 3, 0, 1), 20)
+        assert pairs == []
