@@ -173,8 +173,7 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
     as m rises, and then walked on to its death. The prefix is read in the
     searches' fixed scrambled order (`discriminator._scramble`), so a
     rejected m stops after a few values. The ascending moduli share one
-    stamp table; m <= 2.4n lies below the flat-table bound, so each accepting
-    check leaves the whole prefix marked there for the walk.
+    stamp table with the walks (`discriminator._first_repeat`).
     """
     if n_max < 15:
         raise ValueError("check_theorem3 requires n_max >= 15")

@@ -159,8 +159,6 @@ def check_theorem4(f: Polynomial, p: int, n: int) -> SandwichReport:
     if not ntheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
     r_f = compute(f, n)
-    if f.is_zero():
-        return SandwichReport(f, p, n, r_f.value, r_f.value, True)
     r_pf = compute(f.scale(p), n)
     if r_f.value is None:
         holds = r_pf.value is None

@@ -7,8 +7,12 @@ by reducing those integers mod m, read in one fixed scrambled order
 (`_scramble`) so that a rejected candidate stops after a few values.
 
 A search skips the candidates that a smaller, already settled modulus
-decides. Let c divide every difference f(l) - f(k) (`_common_difference`),
-g = gcd(m, c) and x = m / g. As gcd(x, c / g) = 1, for every integer e
+decides. Holding f(1..N), it takes c as the gcd of f(k) - f(1) over
+1 < k <= min(N, deg f + 1), or 1 when all of those are 0. By Newton's
+forward differences every f(l) - f(k) is an integer combination of
+f(2) - f(1), ..., f(deg f + 1) - f(1), so c divides every difference of
+f(1..N). Let g = gcd(m, c) and x = m / g. As gcd(x, c / g) = 1, for every
+integer e
 
     m | c e  <=>  x | (c / g) e  <=>  x | e,
 
@@ -32,6 +36,12 @@ unchecked, once the pair also collides in the exact values, so the algebra
 can cost a check but never change an answer. Otherwise, as for the accepting
 modulus, a pair splitting m across both factors, h not dividing b, or f of
 another degree, m is checked.
+
+A walk (`_first_repeat`) carries an accepting check at m on past its n
+values to the modulus's death. It goes on from the shared stamp table when
+m <= FLAT_TABLE_FACTOR * n, where the check left f(1..n) marked, and above
+that, where the check kept its residues in a set, walks a fresh dict from
+f(1).
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import random
 from collections import defaultdict
 from itertools import count, repeat
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import Polynomial
 
@@ -128,11 +138,15 @@ def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]]
     return True
 
 
-def _first_repeat(values: Sequence[int], m: int, table: Union[list[int], dict[int, int]], start: int) -> int:
-    """Index of the first value from values[start] on whose residue mod m is
-    already marked m in `table` (a stamp list, or a dict that reads 0 for a
-    missing key), or len(values). Marks each new residue; values[:start] must
-    be marked already, as an accepting flat-path check leaves them."""
+def _first_repeat(values: Sequence[int], m: int, stamps: list[int], start: int) -> int:
+    """Index of the first value whose residue mod m repeats an earlier one,
+    looked for from values[start] on, or len(values). When start > 0, an
+    accepting check `is_discriminating(values[:start], m, stamps)`, in any
+    order, must come first. The walk picks its table as the module docstring
+    says and marks each new residue m."""
+    table = stamps
+    if m > FLAT_TABLE_FACTOR * start:
+        table, start = defaultdict(int), 0
     for i in range(start, len(values)):
         r = values[i] % m
         if table[r] == m:
@@ -181,19 +195,6 @@ def _first_equal(values: Sequence[int]) -> int:
     return len(values)
 
 
-def _common_difference(values: Sequence[int]) -> int:
-    """gcd of every v - values[0], stopping once it reaches 1; 1 when the
-    values are all equal. It divides every difference of `values`. The
-    differences are taken one at a time, never as a list: a value can have
-    10^6 bits."""
-    c, first = 0, values[0]
-    for v in values:
-        c = gcd(c, v - first)
-        if c == 1:
-            break
-    return c or 1
-
-
 def _quadratic_pair(a: int, b: int, m: int, n: int) -> Optional[tuple[int, int]]:
     """The pair (k, l), 1 <= k < l <= n, that the least s = l + k >= 3 with
     m | a s + b makes (see the module docstring), so that m | f(l) - f(k) for
@@ -214,7 +215,6 @@ def _least_modulus(
     lower: int,
     upper: Optional[int] = None,
     stamps: Optional[list[int]] = None,
-    c: int = 1,
     settled: bool = False,
     f: Optional[Polynomial] = None,
     exact: Sequence[int] = (),
@@ -227,20 +227,15 @@ def _least_modulus(
     Callers pass the values in `_scramble`'s order, so a rejected candidate
     stops after a few of them; any order gives the same answer and count.
 
-    `c` divides every difference of `values`. With g = gcd(m, c) > 1 and
-    x = m / g, a candidate m is skipped, unchecked and uncounted, when x < n =
-    len(values), or when gcd(x, c) = 1 and x is settled, that is known to
-    fail: m then fails exactly as x does (see the module docstring), and
-    inherits x's witness pair. Every modulus below n is settled, and so is
-    every one from `lower` up to the current candidate; `settled` says that
-    those in [n, lower) are too, as in a scan, whose search starts above a
-    modulus that has just died.
-
-    When `f` is quadratic and `exact` holds f(1..N) in order, N >= n, a
-    candidate that survives that test is skipped too, unchecked and
-    uncounted, when `_quadratic_pair` names a pair (k, l) and exact[l - 1] -
-    exact[k - 1] is divisible by m. So `candidates_tested` counts
-    is_discriminating calls. The defaults c = 1 and f = None skip nothing.
+    When `exact` holds f(1..N) in order, N >= n, and `values` are f(1..n) in
+    any order, a candidate is skipped, unchecked and uncounted, by the rules of the
+    module docstring: for its c, a modulus x = m / gcd(m, c) that is settled,
+    meaning known to fail, and for a quadratic f, a colliding pair. Every
+    modulus below n is settled, and so is every one from `lower` up to the
+    current candidate; `settled` says that those in [n, lower) are too, as
+    in a scan, whose search starts above a modulus that has just died. So
+    `candidates_tested` counts is_discriminating calls. The default f = None
+    skips nothing.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
@@ -250,6 +245,7 @@ def _least_modulus(
         stamps = []
     n, tested = len(values), 0
     floor = 1 if settled else lower  # x is settled when x < n or floor <= x < m
+    c = 1 if f is None else gcd(*(v - exact[0] for v in exact[1:len(f.coeffs)])) or 1
     quadratic = f is not None and f.degree == 2
     if quadratic:
         _, b, a = f.coeffs
@@ -277,15 +273,10 @@ def compute(
 
     `upper`, when given, is an exclusive cap; the search needs none, so
     exhausting it raises ValueError rather than returning a wrong value.
-    The candidates read f(1..n) in `_scramble`'s order. With c the gcd of the
-    differences of f(1..n), a candidate m = g x with g = gcd(m, c) > 1 is
-    skipped unchecked when x < n, or when gcd(x, c) = 1 and x lies in
-    [lower, m), checked or skipped already: m | c e <=> x | e, so m fails as
-    x does and inherits x's witness pair. A modulus in [n, lower) was never
-    looked at, so it settles nothing: compute(2x, 2, lower=6) checks 6,
-    although 6 = 2 * 3 and 3 discriminates {2, 4}. For a quadratic f, a
-    candidate is also skipped unchecked when `_quadratic_pair` names a pair
-    of f(1..n) that collides mod it.
+    The candidates read f(1..n) in `_scramble`'s order and are skipped by
+    the module docstring's rules. A modulus in [n, lower) was never looked
+    at, so it settles nothing: compute(2x, 2, lower=6) checks 6, although
+    6 = 2 * 3 and 3 discriminates {2, 4}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -296,9 +287,9 @@ def compute(
     if upper is not None and upper <= lower:
         raise ValueError("inconsistent bounds: upper must exceed lower")
     values = f.values(n)
-    if trivial_upper_bound(values) is None:
+    if _first_equal(values) < n:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(_scramble(values, [], n), lower, upper, c=_common_difference(values), f=f, exact=values)
+    return _least_modulus(_scramble(values, [], n), lower, upper, f=f, exact=values)
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
@@ -306,20 +297,15 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
 
     D_f(n) >= D_f(n-1), so m holds until f(n) repeats a residue mod m: one
     lookup per surviving n, one search above m per death. Each search reads
-    f(1..n) in `_scramble`'s order, one list extended from death to death.
-    The searches share one stamp table, on which an accepting flat-path check
-    leaves f(1..n) marked, in whatever order it read them, for the walk to go
-    on from f(n + 1); a modulus above the bound walks a dict from f(1). A
-    repeated value collides mod every m, so it is looked for only at a death;
-    from there on D(n) is undefined.
+    f(1..n) in `_scramble`'s order, one list extended from death to death,
+    and the searches and walks share one stamp table. A repeated value
+    collides mod every m, so it is looked for only at a death; from there on
+    D(n) is undefined.
 
-    c, the gcd of the differences of all of f(1..n_max), divides those of
-    every prefix. Every modulus below a search's first candidate max(m + 1, n)
-    is settled: below n by pigeonhole, below m since m = D(n-1) was least for
-    f(1..n-1), and m itself by its death. So a candidate m' = g x with
-    g = gcd(m', c) > 1 is skipped unchecked when x < n or gcd(x, c) = 1: it
-    fails as x < m' does, and inherits x's witness pair. For a quadratic f,
-    so is a candidate for which `_quadratic_pair` names a colliding pair.
+    A search starts at m + 1, which is at least n since m = D(n-1) >= n-1.
+    Every modulus below it is settled, as the module docstring's skip rules
+    ask: below n by pigeonhole, below m since m was least for f(1..n-1), and
+    m itself by its death.
 
     The first exact repeat is found once, by one set pass (`_first_equal`);
     a death at its index ends the scan.
@@ -327,13 +313,13 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values = f.values(n_max)
-    c, repeat_at = _common_difference(values), _first_equal(values)
+    repeat_at = _first_equal(values)
     order: list[int] = []  # f(1..n) scrambled, for the last search's n
     results: list[DiscriminatorResult] = []
-    stamps = [0]  # m = 1 discriminates the empty prefix; no slot is stamped 1 yet
-    m, table, start = 1, stamps, 0  # table holds f(1..start) mod m stamped m
+    stamps: list[int] = []
+    m, start = 1, 0  # m accepted f(1..start); m = 1 discriminates the empty prefix
     while True:
-        death = _first_repeat(values, m, table, start)
+        death = _first_repeat(values, m, stamps, start)
         results.extend(DiscriminatorResult(m, k, 0) for k in range(len(results) + 1, death + 1))
         if death == n_max:
             return results
@@ -341,6 +327,5 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
         if death == repeat_at:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
         order = _scramble(values, order, n)
-        results.append(_least_modulus(order, max(m + 1, n), stamps=stamps, c=c, settled=True, f=f, exact=values))
-        m = results[-1].value
-        table, start = (stamps, n) if m <= FLAT_TABLE_FACTOR * n else (defaultdict(int), 0)
+        results.append(_least_modulus(order, m + 1, stamps=stamps, settled=True, f=f, exact=values))
+        m, start = results[-1].value, n

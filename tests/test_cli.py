@@ -295,6 +295,9 @@ PINNED = [
     (("primes", "--family", "18x3x1", "--count", "5"), 0, "19\n31\n37\n43\n61\n", ""),
     (("compute", "--poly", "x + *", "--n", "3"), 1, "",
      "error: bad polynomial: unexpected token '*' (at position 4)\n"),
+    # a superscript passes str.isdigit() but is no decimal digit
+    (("compute", "--poly", "x^²", "--n", "3"), 1, "",
+     "error: bad polynomial: unexpected character '²' (at position 2)\n"),
     (("compute", "--poly", "x", "--n", "notanint"), 1, "",
      "error: argument --n: invalid int value: 'notanint'\n"),
     ((), 1, "", "error: the following arguments are required: command\n"),

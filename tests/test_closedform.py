@@ -194,6 +194,14 @@ class TestTheorem4:
         report = check_theorem4(Polynomial.from_coeffs([5]), 3, 4)
         assert report.d_f is None and report.d_pf is None and report.holds
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_zero_polynomial(self, p, n):
+        # p * 0 = 0: D_pf is D_f, 1 at n = 1 and nonexistent after
+        zero = Polynomial.from_coeffs([])
+        d = 1 if n == 1 else None
+        assert check_theorem4(zero, p, n) == (zero, p, n, d, d, True)
+
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
             check_theorem4(Polynomial.from_coeffs([0, 1]), 4, 5)

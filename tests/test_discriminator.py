@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polydisc import (
     DiscriminatorResult,
@@ -415,6 +415,35 @@ class TestStampTable:
             # grown to m slots on the flat path only, never past the bound
             assert len(stamps) == (max(size, m) if m <= flat_table_bound(values) else size)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-3000, 3000), min_size=1, max_size=40),
+            st.lists(st.integers(-BIG, BIG), min_size=1, max_size=40),
+            st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
+        ),
+        st.integers(1, 40),
+        st.booleans(),
+        st.lists(st.integers(0, 63), max_size=200),
+    )
+    @example([0, 1, 128], 2, False, [])  # m = 128: 128 repeats 0 on the marked table
+    @example([0, 1, 129], 2, True, [])  # m = 129: 129 repeats 0, never marked in the table
+    @example([0, 1, 129], 2, True, [0] * 200)
+    def test_walk_picks_its_table_at_the_bound(self, values, start, above, stamps):
+        # the walk gets only the shared list, after an accepting check on the
+        # first `start` values at m = 64 start (flat) or 64 start + 1 (a set)
+        start = min(start, len(values))
+        m = flat_table_bound(values[:start]) + above
+        assume(is_discriminating(values[start - 1::-1], m, stamps))  # the prefix in any order
+        before = list(stamps)
+        death = discriminator._first_repeat(values, m, stamps, start)
+        residues = [v % m for v in values]
+        assert death == next((i for i, r in enumerate(residues) if r in residues[:i]), len(values))
+        if above:
+            assert stamps == before  # the check kept a set and the walk a dict
+        else:
+            assert all(stamps[r] == m for r in residues[:death])
+
     def test_scan_crosses_the_flat_table_bound(self):
         # D = 211 from n = 2, above 64n and kept in a set, until f(65) and
         # f(66) collide mod 211 (65 + 66 = 131 = 1/29 mod 211); the searches
@@ -481,6 +510,27 @@ class TestStampTable:
         # a table of at most 128 slots of 8 bytes, one set of two residues and
         # the loop's ints, against 10 KB for one bytearray(m) at the end
         assert peak < 8 * flat_table_bound(values) + 2048
+
+
+class TestCommonDifference:
+    """A search takes c, the gcd of every f(k) - f(1), from f(1..deg f + 1)
+    alone: by Newton's forward differences the later values add no factor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30)), max_size=7),
+        st.integers(1, 40),
+    )
+    @example([], 5)  # zero polynomial: every difference is 0
+    @example([0, -1, 29], 40)  # x(29x-1): c = 2
+    # 720 x^6: f(2..6) - f(1) share the factor 7 * 720, and f(7) - f(1) = 720 (7^6 - 1) drops the 7
+    @example([0, 0, 0, 0, 0, 0, 720], 40)
+    @example([0, 1, 1], 1)  # one value, no difference
+    def test_the_first_differences_give_the_gcd_of_all(self, coeffs, n):
+        f = P(*coeffs)
+        values = f.values(n)
+        head = values[:len(f.coeffs)]  # f(1..deg f + 1), or fewer when n is smaller
+        assert math.gcd(*(v - values[0] for v in head)) == math.gcd(*(v - values[0] for v in values))
 
 
 def naive_discriminator(f, n, lower=1):

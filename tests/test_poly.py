@@ -47,6 +47,17 @@ class TestParse:
             parse_polynomial("x + ")
         assert exc.value.position == 4
 
+    # str.isdigit() is true for superscripts and circled digits, which int()
+    # refuses; only decimal digits make an integer token
+    @pytest.mark.parametrize("text,char,position", [("x^²", "²", 2), ("²", "²", 0), ("3²", "²", 1), ("①*x", "①", 0)])
+    def test_rejects_non_decimal_digits(self, text, char, position):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(text)
+        assert exc.value.position == position and f"unexpected character {char!r}" in str(exc.value)
+
+    def test_other_decimal_digits_parse(self):
+        assert parse_polynomial("\u0663*x^\u0662") == P(0, 0, 3)  # Arabic-Indic 3 and 2
+
     def test_rejects_other_variables(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("y + 1")
