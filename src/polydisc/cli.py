@@ -66,10 +66,7 @@ def _cmd_compute(args) -> int:
     f = _read_poly(args.poly)
     if args.n < 1:
         raise CLIError("--n must be >= 1")
-    # an --upper alone caps the window [1, upper] that its error message names
-    lower = 1 if args.lower is None and args.upper is not None else args.lower
-    upper = args.upper + 1 if args.upper is not None else None  # inclusive flag
-    result = compute(f, args.n, lower, upper)
+    result = compute(f, args.n)
     print(f"D = {result.value}" if result.exists else "D = infinity")
     return 0
 
@@ -137,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="minimal discriminating modulus for one n")
     p_compute.add_argument("--poly", required=True)
     p_compute.add_argument("--n", type=int, required=True)
-    p_compute.add_argument("--lower", type=int)
-    p_compute.add_argument("--upper", type=int, help="inclusive cap on the scan")
     p_compute.set_defaults(func=_cmd_compute)
 
     p_scan = sub.add_parser("scan", help="run-length table of D over n = 1..n_max")

@@ -6,20 +6,22 @@ search computes the exact values f(1..n) once and checks candidate moduli m
 by reducing those integers mod m, read in one fixed scrambled order
 (`_scramble`) so that a rejected candidate stops after a few values.
 
-A search skips the candidates that a smaller, already settled modulus
-decides. Holding f(1..N), it takes c as the gcd of f(k) - f(1) over
-1 < k <= min(N, deg f + 1), or 1 when all of those are 0. By Newton's
-forward differences every f(l) - f(k) is an integer combination of
-f(2) - f(1), ..., f(deg f + 1) - f(1), so c divides every difference of
-f(1..N). Let g = gcd(m, c) and x = m / g. As gcd(x, c / g) = 1, for every
-integer e
+Every search starts where each smaller modulus is settled, meaning known
+to fail: compute at n, below which n values cannot be distinct (pigeonhole),
+and each of scan's searches just above the modulus that has just died. So a
+search can skip the candidates that a smaller modulus decides. Holding
+f(1..N), it takes c as the gcd of f(k) - f(1) over 1 < k <= min(N, deg f +
+1), or 1 when all of those are 0. By Newton's forward differences every
+f(l) - f(k) is an integer combination of f(2) - f(1), ..., f(deg f + 1) -
+f(1), so c divides every difference of f(1..N). Let g = gcd(m, c) and x = m /
+g. As gcd(x, c / g) = 1, for every integer e
 
     m | c e  <=>  x | (c / g) e  <=>  x | e,
 
 so f(1..n) collide mod m exactly when the integers (f(i) - f(1)) / c
 collide mod x: the identity behind Theorem 4's sandwich D_f <= D_pf <= p D_f.
-When g > 1 (so x < m), m fails without a check if x < n, since n integers
-share a residue mod x, or if gcd(x, c) = 1 and x is known to fail, since then
+When g > 1 (so x < m, and x is settled), m fails without a check if x < n,
+since n integers share a residue mod x, or if gcd(x, c) = 1, since then
 x | c e <=> x | e as well and m fails exactly when x does. Either way a
 skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
 m | f(l) - f(k); in the second case it is x's own witness pair.
@@ -213,14 +215,12 @@ def _quadratic_pair(a: int, b: int, m: int, n: int) -> Optional[tuple[int, int]]
 def _least_modulus(
     values: Sequence[int],
     lower: int,
-    upper: Optional[int] = None,
     stamps: Optional[list[int]] = None,
-    settled: bool = False,
     f: Optional[Polynomial] = None,
     exact: Sequence[int] = (),
 ) -> DiscriminatorResult:
-    """The least m >= lower (and < upper, when given) under which the distinct
-    integers `values` are pairwise distinct; exhausting `upper` raises ValueError.
+    """The least m >= lower under which the distinct integers `values` are
+    pairwise distinct.
 
     The candidates it checks share one stamp table: `stamps`, when the caller
     carries one whose moduli all lie below `lower`, else a new one.
@@ -231,11 +231,10 @@ def _least_modulus(
     any order, a candidate is skipped, unchecked and uncounted, by the rules of the
     module docstring: for its c, a modulus x = m / gcd(m, c) that is settled,
     meaning known to fail, and for a quadratic f, a colliding pair. Every
-    modulus below n is settled, and so is every one from `lower` up to the
-    current candidate; `settled` says that those in [n, lower) are too, as
-    in a scan, whose search starts above a modulus that has just died. So
-    `candidates_tested` counts is_discriminating calls. The default f = None
-    skips nothing.
+    modulus below the current candidate must then be settled, as it is when
+    the search starts at n (pigeonhole) or just above a modulus that has just
+    died, in a scan. So `candidates_tested` counts is_discriminating calls.
+    The default f = None skips nothing.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
@@ -244,16 +243,15 @@ def _least_modulus(
     if stamps is None:
         stamps = []
     n, tested = len(values), 0
-    floor = 1 if settled else lower  # x is settled when x < n or floor <= x < m
     c = 1 if f is None else gcd(*(v - exact[0] for v in exact[1:len(f.coeffs)])) or 1
     quadratic = f is not None and f.degree == 2
     if quadratic:
         _, b, a = f.coeffs
-    for m in count(lower) if upper is None else range(lower, upper):
+    for m in count(lower):
         g = gcd(m, c)
         if g > 1:
             x = m // g
-            if x < n or (x >= floor and gcd(x, c) == 1):
+            if x < n or gcd(x, c) == 1:
                 continue
         if quadratic:
             pair = _quadratic_pair(a, b, m, n)
@@ -262,34 +260,22 @@ def _least_modulus(
         tested += 1
         if is_discriminating(values, m, stamps):
             return DiscriminatorResult(m, n, tested)
-    raise ValueError(f"no discriminating modulus in [{lower}, {upper}) at n={n}")
 
 
-def compute(
-    f: Polynomial, n: int, lower: Optional[int] = None, upper: Optional[int] = None
-) -> DiscriminatorResult:
-    """The least m >= lower (default n, the pigeonhole bound) that discriminates
-    f(1..n), or value None when those values collide.
+def compute(f: Polynomial, n: int) -> DiscriminatorResult:
+    """The least m that discriminates f(1..n), or value None when those values
+    collide.
 
-    `upper`, when given, is an exclusive cap; the search needs none, so
-    exhausting it raises ValueError rather than returning a wrong value.
-    The candidates read f(1..n) in `_scramble`'s order and are skipped by
-    the module docstring's rules. A modulus in [n, lower) was never looked
-    at, so it settles nothing: compute(2x, 2, lower=6) checks 6, although
-    6 = 2 * 3 and 3 discriminates {2, 4}.
+    The search starts at n, below which no modulus discriminates
+    (pigeonhole), reads f(1..n) in `_scramble`'s order and skips candidates
+    by the module docstring's rules.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if lower is None:
-        lower = n
-    elif lower < 1:
-        raise ValueError("lower bound must be >= 1")
-    if upper is not None and upper <= lower:
-        raise ValueError("inconsistent bounds: upper must exceed lower")
     values = f.values(n)
     if _first_equal(values) < n:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(_scramble(values, [], n), lower, upper, f=f, exact=values)
+    return _least_modulus(_scramble(values, [], n), n, f=f, exact=values)
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
@@ -327,5 +313,5 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
         if death == repeat_at:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
         order = _scramble(values, order, n)
-        results.append(_least_modulus(order, m + 1, stamps=stamps, settled=True, f=f, exact=values))
+        results.append(_least_modulus(order, m + 1, stamps, f=f, exact=values))
         m, start = results[-1].value, n

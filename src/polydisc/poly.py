@@ -251,7 +251,12 @@ class _Parser:
     def primary(self) -> Polynomial:
         kind, value, pos = self.take()
         if kind == "int":
-            return Polynomial.constant(int(value))
+            try:
+                return Polynomial.constant(int(value))
+            except ValueError:  # a literal longer than sys.get_int_max_str_digits()
+                raise PolynomialSyntaxError(
+                    f"integer literal of {len(value)} digits exceeds the interpreter's limit for int()", pos
+                ) from None
         if kind == "x":
             return Polynomial((0, 1))
         if kind == "(":

@@ -1,4 +1,5 @@
 import signal
+import sys
 import warnings
 
 import pytest
@@ -38,3 +39,14 @@ def _time_limit(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Sets the interpreter's limit on the digits int() converts from a string
+    (0: none) for one test, and restores it; skips where there is no limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int() of a string")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)

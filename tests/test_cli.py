@@ -13,7 +13,10 @@ from tables import TABLE3
 
 
 def run(capsys, *argv):
-    status = main(list(argv))
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:  # argparse exits after printing --help
+        status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -37,13 +40,6 @@ class TestCompute:
 
     def test_coeffs_form(self, capsys):
         status, out, _ = run(capsys, "compute", "--poly", "coeffs:0,-1,29", "--n", "5")
-        assert status == 0 and out == "D = 15\n"
-
-    def test_explicit_bounds(self, capsys):
-        status, out, _ = run(
-            capsys, "compute", "--poly", "coeffs:0,-1,29", "--n", "5",
-            "--lower", "1", "--upper", "100",
-        )
         assert status == 0 and out == "D = 15\n"
 
 
@@ -165,19 +161,14 @@ class TestExitCodes:
         status, _, _ = run(capsys)
         assert status == 1
 
-    def test_inconsistent_bounds(self, capsys):
-        status, _, err = run(
-            capsys, "compute", "--poly", "x", "--n", "5", "--lower", "10", "--upper", "4"
+    def test_integer_literal_beyond_the_int_digit_limit(self, capsys, int_digit_limit):
+        int_digit_limit(4300)
+        status, out, err = run(capsys, "compute", "--poly", "7" * 5000 + "*x", "--n", "3")
+        assert (status, out) == (1, "")
+        assert err == (
+            "error: bad polynomial: integer literal of 5000 digits exceeds the interpreter's "
+            "limit for int() (at position 0)\n"
         )
-        assert status == 1 and err
-
-    def test_upper_below_d(self, capsys):
-        # D = 223 here; a caller-supplied cap below it is a bad argument
-        status, out, err = run(
-            capsys, "compute", "--poly", "x*(27*x-1)", "--n", "95", "--upper", "200"
-        )
-        assert status == 1 and out == ""
-        assert err == "error: no discriminating modulus in [1, 201) at n=95\n"
 
     def test_exponent_cap_is_inclusive(self, capsys):
         status, out, _ = run(capsys, "conjecture", "--p", "2", "--r", "1000", "--n-max", "20")
@@ -238,15 +229,17 @@ SCAN_CSV_LCM_200 = (
     "113,120,271,prime\n"
 )
 
+COMPUTE_HELP = (
+    "usage: polydisc compute [-h] --poly POLY --n N\n\n"
+    "options:\n  -h, --help   show this help message and exit\n  --poly POLY\n  --n N\n"
+)
+
 # Stdout, stderr and exit code of each invocation, recorded before the theorem
 # checks moved out of the CLI; the bytes must not drift.
 PINNED = [
     (("compute", "--poly", "x*(27*x-1)", "--n", "95"), 0, "D = 223\n", ""),
     (("compute", "--poly", "x*(4*x-1)", "--n", "5"), 0, "D = 8\n", ""),
     (("compute", "--poly", "coeffs:0,-1,29", "--n", "5"), 0, "D = 15\n", ""),
-    (("compute", "--poly", "coeffs:0,-1,29", "--n", "5", "--lower", "1", "--upper", "100"),
-     0, "D = 15\n", ""),
-    (("compute", "--poly", "coeffs:0,-1,29", "--n", "5", "--lower", "16"), 0, "D = 17\n", ""),
     (("compute", "--poly", "7", "--n", "2"), 0, "D = infinity\n", ""),
     (("scan", "--poly", "x*(29*x-1)", "--n-max", "12"), 0, SCAN_CSV, ""),
     (("scan", "--poly", "x*(29*x-1)", "--n-max", "12", "--format", "latex"), 0,
@@ -301,22 +294,25 @@ PINNED = [
     (("compute", "--poly", "x", "--n", "notanint"), 1, "",
      "error: argument --n: invalid int value: 'notanint'\n"),
     ((), 1, "", "error: the following arguments are required: command\n"),
-    (("compute", "--poly", "x", "--n", "5", "--lower", "10", "--upper", "4"), 1, "",
-     "error: inconsistent bounds: upper must exceed lower\n"),
     (("table", "--family", "p=6,r=1", "--n-max", "10"), 1, "", "error: p=6 is not prime\n"),
-    # the --lower/--upper window's edges, recorded before the window object went
-    (("compute", "--poly", "x", "--n", "5", "--lower", "0"), 1, "",
-     "error: lower bound must be >= 1\n"),
-    (("compute", "--poly", "x", "--n", "5", "--lower", "0", "--upper", "-5"), 1, "",
-     "error: lower bound must be >= 1\n"),
+    # compute has no --lower or --upper: every search starts at n (pigeonhole)
+    (("compute", "--poly", "x", "--n", "5", "--lower", "10"), 1, "",
+     "error: unrecognized arguments: --lower 10\n"),
     (("compute", "--poly", "x", "--n", "5", "--upper", "3"), 1, "",
-     "error: no discriminating modulus in [1, 4) at n=5\n"),
-    (("compute", "--poly", "x", "--n", "5", "--lower", "3", "--upper", "3"), 1, "",
-     "error: no discriminating modulus in [3, 4) at n=5\n"),
-    (("compute", "--poly", "x", "--n", "5", "--lower", "1000"), 0, "D = 1000\n", ""),
-    # 6 = 2 * 3 and 3 discriminates {2, 4}, but 3 lies below the window
-    (("compute", "--poly", "2*x", "--n", "2", "--lower", "6"), 0, "D = 6\n", ""),
-    (("compute", "--poly", "7", "--n", "2", "--upper", "3"), 0, "D = infinity\n", ""),
+     "error: unrecognized arguments: --upper 3\n"),
+    (("compute", "--help"), 0, COMPUTE_HELP, ""),
+    # either flag, alone or with the other, is refused whatever its value
+    *((argv, 1, "", f"error: unrecognized arguments: {' '.join(argv[5:])}\n") for argv in [
+        ("compute", "--poly", "coeffs:0,-1,29", "--n", "5", "--lower", "1", "--upper", "100"),
+        ("compute", "--poly", "coeffs:0,-1,29", "--n", "5", "--lower", "16"),
+        ("compute", "--poly", "x", "--n", "5", "--lower", "10", "--upper", "4"),
+        ("compute", "--poly", "x", "--n", "5", "--lower", "0"),
+        ("compute", "--poly", "x", "--n", "5", "--lower", "0", "--upper", "-5"),
+        ("compute", "--poly", "x", "--n", "5", "--lower", "3", "--upper", "3"),
+        ("compute", "--poly", "x", "--n", "5", "--lower", "1000"),
+        ("compute", "--poly", "2*x", "--n", "2", "--lower", "6"),
+        ("compute", "--poly", "7", "--n", "2", "--upper", "3"),
+    ]),
     # a scan labels its CSV against the leading coefficient's largest prime, 7 here
     (("scan", "--poly", "x*(49*x-1)", "--n-max", "60"), 0, TABLE_7_2, ""),
     (("scan", "--poly", f"x*({TWO_20_DIGIT_PRIMES}*x-1)", "--n-max", "12"), 0, SCAN_CSV_20_DIGIT, ""),
@@ -332,7 +328,8 @@ PINNED = [
 
 
 @pytest.mark.parametrize("argv,status,out,err", PINNED, ids=[" ".join(c[0]) or "<none>" for c in PINNED])
-def test_pinned_bytes(capsys, argv, status, out, err):
+def test_pinned_bytes(capsys, monkeypatch, argv, status, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
     assert run(capsys, *argv) == (status, out, err)
 
 

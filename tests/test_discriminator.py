@@ -226,23 +226,6 @@ class TestCompute:
         # checked in full.
         assert result.candidates_tested == 1
 
-    def test_inconsistent_bounds_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent bounds"):
-            compute(x_dx_minus_1(29), 5, lower=10, upper=5)
-        with pytest.raises(ValueError, match="lower bound must be >= 1"):
-            compute(x_dx_minus_1(29), 5, lower=0, upper=-5)
-
-    def test_bound_violation_signalled(self):
-        # D = 15 here, so an upper of 10 must raise, never silently return
-        with pytest.raises(ValueError, match=r"no discriminating modulus in \[5, 10\) at n=5"):
-            compute(x_dx_minus_1(29), 5, lower=5, upper=10)
-
-    def test_custom_lower_respected(self):
-        result = compute(x_dx_minus_1(29), 5, lower=16, upper=100)
-        # D(5) = 15, but 17 is the least discriminating modulus at or above 16
-        assert result.value == 17
-        assert not is_discriminating(x_dx_minus_1(29).values(5), 16)
-
 
 class TestScan:
     def test_table3_prefix(self):
@@ -472,11 +455,14 @@ class TestStampTable:
             lambda: scan(x_dx_minus_1(29), 400),
             lambda: scan(parse_polynomial("(x^2+x+41)^4"), 60),
             lambda: scan(lcm_family(200, [0, -1, 29]), 120),
-            lambda: compute(x_dx_minus_1(29), 60, lower=30, upper=200),
-            lambda: compute(parse_polynomial("(x^2+x+41)^4"), 40, lower=1000),
+            lambda: compute(x_dx_minus_1(29), 60),
+            lambda: compute(parse_polynomial("(x^2+x+41)^4"), 40),
             lambda: check_theorem3(200),
         ],
-        ids=["scan x(29x-1)", "scan (x^2+x+41)^4", "scan lcm(1..200)x(29x-1)", "compute window", "compute above", "theorem 3"],
+        ids=[
+            "scan x(29x-1)", "scan (x^2+x+41)^4", "scan lcm(1..200)x(29x-1)",
+            "compute x(29x-1)", "compute (x^2+x+41)^4", "theorem 3",
+        ],
     )
     def test_each_table_sees_strictly_increasing_moduli(self, monkeypatch, run):
         tables = {}  # id -> (table, moduli passed with it); holding the table keeps its id unique
@@ -533,13 +519,13 @@ class TestCommonDifference:
         assert math.gcd(*(v - values[0] for v in head)) == math.gcd(*(v - values[0] for v in values))
 
 
-def naive_discriminator(f, n, lower=1):
-    """Least m >= lower with no pairwise difference of f(1..n) divisible by m, or None."""
+def naive_discriminator(f, n):
+    """Least m with no pairwise difference of f(1..n) divisible by m, or None."""
     values = [f.evaluate(i) for i in range(1, n + 1)]
     diffs = [b - a for i, a in enumerate(values) for b in values[i + 1:]]
     if 0 in diffs:
         return None
-    m = lower
+    m = 1
     while any(d % m == 0 for d in diffs):
         m += 1
     return m
@@ -572,28 +558,24 @@ def assert_checks(values, lower, result, checked, quadratic):
         assert result.candidates_tested == result.value - lower + 1
 
 
-def assert_searches_agree(f, n_max, lower):
-    """scan, compute and compute from `lower` equal the all-pairs oracle on
-    f(1..n) for every n <= n_max, and every modulus they skip fails it."""
+def assert_searches_agree(f, n_max):
+    """scan and compute equal the all-pairs oracle on f(1..n) for every
+    n <= n_max, and every modulus they skip fails it."""
     quadratic = f.degree == 2
     with recorded_checks() as scanned:
         results = scan(f, n_max)
     prev = 1
     for n in range(1, n_max + 1):
         values = f.values(n)
-        expected, expected_windowed = naive_discriminator(f, n), naive_discriminator(f, n, lower)
+        expected = naive_discriminator(f, n)
         with recorded_checks() as cold_checked:
             cold = compute(f, n)
-        with recorded_checks() as windowed_checked:
-            windowed = compute(f, n, lower=lower)
         warm = results[n - 1]
         assert warm.value == cold.value == expected
-        assert windowed.value == expected_windowed
         if expected is None:
-            assert warm.candidates_tested == cold.candidates_tested == windowed.candidates_tested == 0
+            assert warm.candidates_tested == cold.candidates_tested == 0
             continue
         assert_checks(values, n, cold, cold_checked, quadratic)
-        assert_checks(values, lower, windowed, windowed_checked, quadratic)
         if expected == prev:
             # a surviving D(n-1) is confirmed by one lookup
             assert warm.candidates_tested == 0
@@ -606,39 +588,22 @@ def assert_searches_agree(f, n_max, lower):
 
 class TestSearchDifferential:
     @settings(max_examples=150, deadline=None)
-    # |f(i)| < 4e5 for these coefficients and n, so a lower of 10^6 or more
-    # lies above every spread and is itself the answer
-    @given(
-        st.lists(st.integers(-9, 9), max_size=5),
-        st.integers(1, 14),
-        st.one_of(st.integers(1, 40), st.integers(10 ** 6, 10 ** 7)),
-    )
-    @example([], 3, 1)  # zero polynomial
-    @example([4], 3, 2)  # constant
-    @example([0, -3, 1], 6, 1)  # x(x-3): f(1) = f(2)
-    @example([0, 1], 5, 4)  # spread 4: the window starts at it and moves to 5
-    @example([0, 1], 5, 5)  # ... or starts just above it
-    @example([0, -40, 1], 40, 1)  # x(x-40): survivors, then f(19) = f(21)
-    # 2x from lower 6: 6 = 2 * 3, but 3 lies in [n, lower), never looked at,
-    # and discriminates {2, 4}; treating it as settled would skip 6 and give 7
-    @example([0, 2], 2, 6)
-    def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max, lower):
-        assert_searches_agree(P(*coeffs), n_max, lower)
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 14))
+    @example([], 3)  # zero polynomial
+    @example([4], 3)  # constant
+    @example([0, -3, 1], 6)  # x(x-3): f(1) = f(2)
+    @example([0, -40, 1], 40)  # x(x-40): survivors, then f(19) = f(21)
+    def test_scan_compute_and_all_pairs_agree(self, coeffs, n_max):
+        assert_searches_agree(P(*coeffs), n_max)
 
     @settings(max_examples=200, deadline=None)
     # k f has every difference divisible by k, so c > 1 and the searches skip
-    @given(
-        st.lists(st.integers(-9, 9), max_size=4),
-        st.integers(2, 30),
-        st.integers(1, 14),
-        st.integers(1, 60),
-    )
-    @example([0, -1, 29], 2, 5, 1)  # 2x(29x-1): c = 4
-    @example([0, 1], 2, 2, 6)  # 2x from lower 6, as above
-    @example([0, 1], 6, 9, 4)  # 6x: c = 6 from n = 2
-    @example([1, 1, 1], 30, 12, 1)  # 30(x^2+x+1): c = 60
-    def test_scaled_polynomials_agree(self, coeffs, k, n_max, lower):
-        assert_searches_agree(P(*coeffs).scale(k), n_max, lower)
+    @given(st.lists(st.integers(-9, 9), max_size=4), st.integers(2, 30), st.integers(1, 14))
+    @example([0, -1, 29], 2, 5)  # 2x(29x-1): c = 4
+    @example([0, 1], 6, 9)  # 6x: c = 6 from n = 2
+    @example([1, 1, 1], 30, 12)  # 30(x^2+x+1): c = 60
+    def test_scaled_polynomials_agree(self, coeffs, k, n_max):
+        assert_searches_agree(P(*coeffs).scale(k), n_max)
 
     def test_wide_scan_checks(self):
         # c = 240 for (x^2+x+41)^4, and D(700) = 31,051: checking every
@@ -696,28 +661,24 @@ class TestQuadraticPair:
         assert (f.evaluate(l) - f.evaluate(k)) % m == 0
 
     @settings(max_examples=150, deadline=None)
-    # |f(i)| < 4e5 for these coefficients and n, so a lower of 10^6 or more
-    # lies above every spread and is itself the answer
     @given(
         st.integers(-30, 30).filter(bool),
         st.integers(-30, 30),
         st.integers(-30, 30),
         st.integers(1, 6),
         st.integers(1, 14),
-        st.one_of(st.integers(1, 40), st.integers(10 ** 6, 10 ** 7)),
     )
-    @example(-29, 1, 0, 1, 14, 1)  # -x(29x-1): negative a
-    @example(29, -1, 0, 1, 14, 1)  # x(29x-1): negative b
-    @example(6, 3, 0, 1, 14, 1)  # gcd(6, m) = 3 divides b = 3, and c = 3
-    @example(6, 1, 0, 1, 14, 1)  # gcd(6, m) = 2 never divides b = 1
-    @example(1, 1, 1, 30, 12, 1)  # 30(x^2+x+1): c = 60, both skips
-    @example(29, -1, 0, 2, 14, 1)  # 2x(29x-1): c = 4
-    @example(1, -40, 0, 1, 40, 1)  # x(x-40): survivors, then f(19) = f(21)
-    @example(29, -1, 0, 1, 10, 16)  # a window above D(5) = 15
-    def test_searches_agree_and_every_pair_collides(self, a, b, e, k, n_max, lower):
+    @example(-29, 1, 0, 1, 14)  # -x(29x-1): negative a
+    @example(29, -1, 0, 1, 14)  # x(29x-1): negative b
+    @example(6, 3, 0, 1, 14)  # gcd(6, m) = 3 divides b = 3, and c = 3
+    @example(6, 1, 0, 1, 14)  # gcd(6, m) = 2 never divides b = 1
+    @example(1, 1, 1, 30, 12)  # 30(x^2+x+1): c = 60, both skips
+    @example(29, -1, 0, 2, 14)  # 2x(29x-1): c = 4
+    @example(1, -40, 0, 1, 40)  # x(x-40): survivors, then f(19) = f(21)
+    def test_searches_agree_and_every_pair_collides(self, a, b, e, k, n_max):
         f = P(e, b, a).scale(k)
         with recorded_pairs() as pairs:
-            assert_searches_agree(f, n_max, lower)
+            assert_searches_agree(f, n_max)
         for pa, pb, m, n, pair in pairs:
             assert (pa, pb) == (k * a, k * b)
             if pair is not None:

@@ -58,6 +58,17 @@ class TestParse:
     def test_other_decimal_digits_parse(self):
         assert parse_polynomial("\u0663*x^\u0662") == P(0, 0, 3)  # Arabic-Indic 3 and 2
 
+    def test_integer_literal_beyond_the_int_digit_limit(self, int_digit_limit):
+        long, longest = "7" * 5000, "7" * 4300
+        int_digit_limit(4300)
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(f"x + {long}")
+        assert exc.value.position == 4
+        assert "integer literal of 5000 digits exceeds the interpreter's limit for int()" in str(exc.value)
+        assert parse_polynomial(f"{longest}*x") == P(0, int(longest))  # at the limit
+        int_digit_limit(0)  # no limit: every literal parses
+        assert parse_polynomial(f"x + {long}") == P(int(long), 1)
+
     def test_rejects_other_variables(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("y + 1")
