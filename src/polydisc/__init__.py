@@ -15,6 +15,7 @@ from .closedform import (
     bsw_discriminator,
     check_theorem4,
     lemma1_bound,
+    prime_power_family,
     sun_power_formula,
     sun_prime_discriminator,
     x_dx_minus_1,
@@ -47,6 +48,7 @@ __all__ = [
     "bsw_discriminator",
     "check_theorem4",
     "lemma1_bound",
+    "prime_power_family",
     "sun_power_formula",
     "sun_prime_discriminator",
     "x_dx_minus_1",

@@ -7,7 +7,7 @@ import math
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import ntheory
-from .closedform import bsw_discriminator, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
+from .closedform import bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
 from .discriminator import DiscriminatorResult, _first_repeat, _scramble, is_discriminating, scan
 from .poly import Polynomial
 
@@ -73,7 +73,7 @@ def run_length_table(
     for n, item in enumerate(results, start=1):
         v = item.value if isinstance(item, DiscriminatorResult) else int(item)
         if v is None:
-            raise ValueError("run_length_table requires finite values")
+            raise ValueError(f"D is nonexistent at n={n}; run-length table undefined")
         if rows and rows[-1][2] == v:
             rows[-1] = (rows[-1][0], n, v)
         else:
@@ -147,14 +147,12 @@ def check_conjecture1(
 
     The unit value 1 is always reported as an exception even though it equals
     p^0; the conjectured form is read as a genuine prime power. An empty tail
-    is evidence, never proof.
+    is evidence, never proof. The family comes from
+    `closedform.prime_power_family`, which proves p prime (once per call) and
+    caps r before anything is scanned.
     """
-    if not ntheory.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError("r must be >= 1")
     exceptions: list[tuple[int, int, ValueClass]] = []
-    for result in scan(x_dx_minus_1(p ** r), n_max):
+    for result in scan(prime_power_family(p, r), n_max):
         v = result.value
         # lemma1_bound(p, r, n), without proving p prime again
         if ntheory.is_prime(v) or (v > 1 and v == p ** ntheory.ceil_log(p, result.n)):

@@ -1,4 +1,9 @@
-"""Command-line interface: compute, scan, table, verify, conjecture, primes."""
+"""Command-line interface: compute, scan, table, verify, conjecture, primes.
+
+The CLI parses and prints. Every input rule (a prime p, a capped r, n >= 1,
+a count >= 1, a finite D) belongs to the library function that takes the
+value; the CLI prints its ValueError as an `error:` line and exits 1.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import analysis, closedform, ntheory
+from . import analysis, closedform
 from .discriminator import compute, scan
-from .poly import MAX_EXPONENT, Polynomial, PolynomialSyntaxError, parse_poly_input
+from .poly import Polynomial, PolynomialSyntaxError, parse_poly_input
 
 
 class CLIError(Exception):
@@ -28,7 +33,7 @@ def _read_poly(text: str) -> Polynomial:
 
 
 def _parse_family_spec(spec: str) -> tuple[int, int]:
-    """Parse `p=<prime>,r=<int>` into (p, r)."""
+    """Parse `p=<prime>,r=<int>` into (p, r); `closedform.prime_power_family` checks them."""
     fields = {}
     parts = spec.split(",")
     for part in parts:
@@ -41,14 +46,7 @@ def _parse_family_spec(spec: str) -> tuple[int, int]:
             raise CLIError(f"bad --family value {value!r}") from None
     if len(parts) != 2 or set(fields) != {"p", "r"}:
         raise CLIError(f"--family must give exactly p and r, got {spec!r}")
-    p, r = fields["p"], fields["r"]
-    if not ntheory.is_prime(p):
-        raise CLIError(f"p={p} is not prime")
-    if r < 1:
-        raise CLIError("r must be >= 1")
-    if r > MAX_EXPONENT:
-        raise CLIError(f"r={r} exceeds the cap {MAX_EXPONENT}")
-    return p, r
+    return fields["p"], fields["r"]
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -63,22 +61,14 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _cmd_compute(args) -> int:
-    f = _read_poly(args.poly)
-    if args.n < 1:
-        raise CLIError("--n must be >= 1")
-    result = compute(f, args.n)
+    result = compute(_read_poly(args.poly), args.n)
     print(f"D = {result.value}" if result.exists else "D = infinity")
     return 0
 
 
 def _table(f: Polynomial, args, p: Optional[int] = None) -> int:
     """Print D_f's run-length table for n <= --n-max; a CSV labels rows against p."""
-    if args.n_max < 1:
-        raise CLIError("--n-max must be >= 1")
-    results = scan(f, args.n_max)
-    if any(not r.exists for r in results):
-        raise CLIError("scan hit nonexistent values; run-length table undefined")
-    table = analysis.run_length_table(results)
+    table = analysis.run_length_table(scan(f, args.n_max))
     if args.format == "latex":
         text = analysis.emit_latex(table, str(f), args.n_max)
     else:
@@ -93,24 +83,17 @@ def _cmd_scan(args) -> int:
 
 def _cmd_table(args) -> int:
     p, r = _parse_family_spec(args.family)
-    return _table(closedform.x_dx_minus_1(p ** r), args, p)
+    return _table(closedform.prime_power_family(p, r), args, p)
 
 
 def _cmd_conjecture(args) -> int:
-    if not ntheory.is_prime(args.p):
-        raise CLIError(f"--p {args.p} is not prime")
-    if args.r < 1 or args.n_max < 1:
-        raise CLIError("--r and --n-max must be >= 1")
-    if args.r > MAX_EXPONENT:
-        raise CLIError(f"--r {args.r} exceeds the cap {MAX_EXPONENT}")
-    for n, value, cls in analysis.check_conjecture1(args.p, args.r, args.n_max):
+    p, r = _parse_family_spec(args.family)
+    for n, value, cls in analysis.check_conjecture1(p, r, args.n_max):
         print(f"n={n} value={value} class={cls.kind.value}")
     return 0
 
 
 def _cmd_primes(args) -> int:
-    if args.count < 1:
-        raise CLIError("--count must be >= 1")
     primes, mismatches = closedform.family_primes(closedform.FAMILIES[args.family], args.count)
     for n, formula, oracle in mismatches:
         print(f"mismatch at n={n}: formula {formula}, oracle {oracle}", file=sys.stderr)
@@ -141,12 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_table = sub.add_parser("table", help="classified table for the family x(p^r x - 1)")
-    p_table.add_argument("--family", required=True, metavar="p=<prime>,r=<int>")
     p_table.set_defaults(func=_cmd_table)
-    for p_run in (p_scan, p_table):  # both print a run-length table through _table
-        p_run.add_argument("--n-max", type=int, required=True)
-        p_run.add_argument("--format", choices=("csv", "latex"), default="csv")
-        p_run.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run a theorem's property suite")
     p_verify.add_argument("--theorem", type=int, choices=(1, 2, 3, 4, 5), required=True)
@@ -155,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="exceptions to 'prime or p^ceil(log_p n)'")
-    p_conj.add_argument("--p", type=int, required=True)
-    p_conj.add_argument("--r", type=int, required=True)
-    p_conj.add_argument("--n-max", type=int, required=True)
     p_conj.set_defaults(func=_cmd_conjecture)
 
     p_primes = sub.add_parser("primes", help="primes generated by a family formula")
@@ -165,6 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_primes.add_argument("--count", type=int, required=True)
     p_primes.set_defaults(func=_cmd_primes)
 
+    for p_family in (p_table, p_conj):  # both read x(p^r x - 1) through _parse_family_spec
+        p_family.add_argument("--family", required=True, metavar="p=<prime>,r=<int>")
+    for p_run in (p_scan, p_table, p_conj):
+        p_run.add_argument("--n-max", type=int, required=True)
+    for p_run in (p_scan, p_table):  # both print a run-length table through _table
+        p_run.add_argument("--format", choices=("csv", "latex"), default="csv")
+        p_run.add_argument("--out")
     return parser
 
 

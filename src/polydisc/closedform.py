@@ -9,12 +9,27 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import ntheory
 from .discriminator import compute, scan
-from .poly import Polynomial
+from .poly import MAX_EXPONENT, Polynomial
 
 
 def x_dx_minus_1(d: int) -> Polynomial:
     """The quadratic family x(dx - 1) as coefficients [0, -1, d]."""
     return Polynomial.from_coeffs([0, -1, d])
+
+
+def prime_power_family(p: int, r: int) -> Polynomial:
+    """x(p^r x - 1), the family of Sun's Theorem 1 and Conjecture 1.
+
+    Refuses a non-prime p and an r outside 1..poly.MAX_EXPONENT: p^r is built
+    exactly, so the exponent has the parser's cap.
+    """
+    if not ntheory.is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if r > MAX_EXPONENT:
+        raise ValueError(f"r={r} exceeds the cap {MAX_EXPONENT}")
+    return x_dx_minus_1(p ** r)
 
 
 def sun_power_formula(d: int, n: int) -> int:
@@ -119,6 +134,8 @@ def family_primes(
     returns the primes and the (n, formula, oracle) mismatches, which the
     theorem predicts are none.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     formulas: list[int] = []
     primes: list[int] = []
     while len(primes) < count:

@@ -134,12 +134,15 @@ class Polynomial:
             c = self.coeffs[i]
             if c == 0:
                 continue
-            mag = abs(c)
+            try:
+                mag = str(abs(c))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ValueError(f"coefficient of x^{i} exceeds the interpreter's digit limit for str()") from None
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == "1" else f"{mag}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -254,9 +257,7 @@ class _Parser:
             try:
                 return Polynomial.constant(int(value))
             except ValueError:  # a literal longer than sys.get_int_max_str_digits()
-                raise PolynomialSyntaxError(
-                    f"integer literal of {len(value)} digits exceeds the interpreter's limit for int()", pos
-                ) from None
+                raise _too_long(value, pos) from None
         if kind == "x":
             return Polynomial((0, 1))
         if kind == "(":
@@ -270,6 +271,12 @@ class _Parser:
                 raise PolynomialSyntaxError("expected ')'", pos2)
             return inner
         raise PolynomialSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+
+
+def _too_long(digits: str, pos: int) -> PolynomialSyntaxError:
+    return PolynomialSyntaxError(
+        f"integer literal of {len(digits)} digits exceeds the interpreter's limit for int()", pos
+    )
 
 
 def _check_degree(degree: int, pos: int) -> None:
@@ -292,9 +299,16 @@ def parse_poly_input(text: str) -> Polynomial:
     stripped = text.strip()
     if stripped.startswith("coeffs:"):
         body = stripped[len("coeffs:"):]
-        try:
-            coeffs = [int(part.strip()) for part in body.split(",")] if body.strip() else []
-        except ValueError as exc:
-            raise PolynomialSyntaxError(f"bad coefficient list: {exc}", len("coeffs:")) from None
+        coeffs, pos = [], len("coeffs:")  # pos: where the current entry starts
+        for part in body.split(",") if body.strip() else []:
+            entry = part.strip()
+            try:
+                coeffs.append(int(entry))
+            except ValueError as exc:
+                digits = entry[1:] if entry[:1] in ("+", "-") else entry
+                if digits.isdecimal():  # int() refuses signed decimal digits only for their length
+                    raise _too_long(digits, pos + part.index(digits)) from None
+                raise PolynomialSyntaxError(f"bad coefficient list: {exc}", len("coeffs:")) from None
+            pos += len(part) + 1
         return Polynomial.from_coeffs(coeffs)
     return parse_polynomial(stripped)

@@ -101,6 +101,12 @@ class TestRunTable:
         with pytest.raises(ValueError):
             run_length_table([DiscriminatorResult(None, 1, 0)])
 
+    def test_nonexistent_error_names_the_first_n(self):
+        # f = 7: D(1) = 1, and from n = 2 on the values themselves collide
+        with pytest.raises(ValueError) as exc:
+            run_length_table(scan(Polynomial.from_coeffs([7]), 4))
+        assert str(exc.value) == "D is nonexistent at n=2; run-length table undefined"
+
 
 class TestEmitCsv:
     def test_table3_line(self):
@@ -168,6 +174,17 @@ class TestConjecture1:
 
     def test_power_of_two_family_only_unit(self):
         assert [(n, v) for n, v, _ in check_conjecture1(2, 1, 64)] == [(1, 1)]
+
+    @pytest.mark.parametrize("p,r,message", [
+        (6, 1, "p=6 is not prime"),
+        (2, 0, "r must be >= 1"),
+        (2, 1001, "r=1001 exceeds the cap 1000"),
+    ])
+    def test_refuses_the_family_before_it_scans(self, monkeypatch, p, r, message):
+        monkeypatch.setattr(analysis, "scan", lambda f, n_max: pytest.fail("scanned a refused family"))
+        with pytest.raises(ValueError) as exc:
+            check_conjecture1(p, r, 5)
+        assert str(exc.value) == message
 
 
 class TestTheorem3:

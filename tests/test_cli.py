@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -109,7 +110,7 @@ class TestVerify:
 
 class TestConjecture:
     def test_table3_output(self, capsys):
-        status, out, _ = run(capsys, "conjecture", "--p", "29", "--r", "1", "--n-max", "500")
+        status, out, _ = run(capsys, "conjecture", "--family", "p=29,r=1", "--n-max", "500")
         assert status == 0
         assert out.splitlines() == [
             "n=1 value=1 class=unit",
@@ -148,10 +149,10 @@ class TestExitCodes:
 
     def test_pseudoprime_p_rejected(self, capsys):
         status, out, err = run(
-            capsys, "conjecture", "--p", "3317044064679887385961981", "--r", "1", "--n-max", "1"
+            capsys, "conjecture", "--family", "p=3317044064679887385961981,r=1", "--n-max", "1"
         )
         assert (status, out) == (1, "")
-        assert err == "error: --p 3317044064679887385961981 is not prime\n"
+        assert err == "error: p=3317044064679887385961981 is not prime\n"
 
     def test_bad_flag_value(self, capsys):
         status, _, _ = run(capsys, "compute", "--poly", "x", "--n", "notanint")
@@ -171,10 +172,27 @@ class TestExitCodes:
         )
 
     def test_exponent_cap_is_inclusive(self, capsys):
-        status, out, _ = run(capsys, "conjecture", "--p", "2", "--r", "1000", "--n-max", "20")
+        status, out, _ = run(capsys, "conjecture", "--family", "p=2,r=1000", "--n-max", "20")
         assert (status, out) == (0, "n=1 value=1 class=unit\n")
         status, _, err = run(capsys, "table", "--family", "p=2,r=1001", "--n-max", "2")
         assert (status, err) == (1, "error: r=1001 exceeds the cap 1000\n")
+
+    def test_coeffs_literal_beyond_the_int_digit_limit(self, capsys, int_digit_limit):
+        int_digit_limit(4300)
+        status, out, err = run(capsys, "compute", "--poly", "coeffs:" + "7" * 5000, "--n", "3")
+        assert (status, out) == (1, "")
+        assert err == (
+            "error: bad polynomial: integer literal of 5000 digits exceeds the interpreter's "
+            "limit for int() (at position 7)\n"
+        )
+
+    def test_printed_coefficient_beyond_the_int_digit_limit(self, capsys, int_digit_limit):
+        int_digit_limit(4300)
+        argv = ("scan", "--poly", "(10^1000)^5*x", "--n-max", "3")
+        assert run(capsys, *argv, "--format", "latex") == (
+            1, "", "error: coefficient of x^1 exceeds the interpreter's digit limit for str()\n"
+        )
+        assert run(capsys, *argv) == (0, "n_low,n_high,value,class\n1,1,1,unit\n2,3,3,prime\n", "")
 
     @pytest.mark.parametrize("theorem", [1, 2, 3, 5])
     def test_verify_n_max_below_one(self, capsys, theorem):
@@ -281,7 +299,7 @@ PINNED = [
      "note: known small-n exception j=6 n=2: oracle 2, formula 4\n"
      "PASS: power formula matched the oracle for n <= 12 outside 9 known small-n exceptions\n",
      ""),
-    (("conjecture", "--p", "29", "--r", "1", "--n-max", "100"), 0,
+    (("conjecture", "--family", "p=29,r=1", "--n-max", "100"), 0,
      "n=1 value=1 class=unit\nn=5 value=15 class=composite_other\n", ""),
     (("primes", "--family", "2xx1", "--count", "5"), 0, "11\n13\n17\n19\n23\n", ""),
     (("primes", "--family", "4x4x1", "--count", "5"), 0, "13\n17\n29\n37\n41\n", ""),
@@ -322,8 +340,15 @@ PINNED = [
      "error: --family must give exactly p and r, got 'p=29,r=1,p=7'\n"),
     (("table", "--family", "p=29,r=10000000", "--n-max", "3"), 1, "",
      "error: r=10000000 exceeds the cap 1000\n"),
-    (("conjecture", "--p", "29", "--r", "10000000", "--n-max", "3"), 1, "",
-     "error: --r 10000000 exceeds the cap 1000\n"),
+    (("conjecture", "--family", "p=29,r=10000000", "--n-max", "3"), 1, "",
+     "error: r=10000000 exceeds the cap 1000\n"),
+    # each refusal comes from the library function that takes the value
+    (("compute", "--poly", "x", "--n", "0"), 1, "", "error: n must be >= 1\n"),
+    (("scan", "--poly", "x", "--n-max", "0"), 1, "", "error: n_max must be >= 1\n"),
+    (("scan", "--poly", "7", "--n-max", "3"), 1, "",
+     "error: D is nonexistent at n=2; run-length table undefined\n"),
+    (("primes", "--family", "2xx1", "--count", "0"), 1, "", "error: count must be >= 1\n"),
+    (("conjecture", "--family", "p=4,r=1", "--n-max", "3"), 1, "", "error: p=4 is not prime\n"),
 ]
 
 
@@ -374,3 +399,30 @@ def test_cli_import_leaves_out_dataclasses_and_its_imports():
     ).stdout.split()
     assert "polydisc.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+
+
+def test_a_conjecture_run_proves_its_prime_once(capsys, monkeypatch):
+    # the least prime above 10^299: one Baillie-PSW test costs more than the run's scan
+    p = ntheory.next_prime_satisfying(10 ** 299, 0, 1)
+    real, proofs = ntheory.is_prime, []
+
+    def counted(n):
+        proofs.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ntheory, "is_prime", counted)
+    status, out, err = run(capsys, "conjecture", "--family", f"p={p},r=1", "--n-max", "20")
+    assert (status, err) == (0, "") and out.startswith("n=1 value=1 class=unit\n")
+    assert proofs.count(p) == 1
+
+
+def test_cli_does_no_mathematics():
+    # the CLI parses and prints; primality and every range rule live in the library
+    with open(os.path.join(os.path.dirname(polydisc.__file__), "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"ntheory", "MAX_EXPONENT"} & imported
+    assert not {"ntheory", "is_prime", "MAX_EXPONENT"} & names

@@ -7,6 +7,7 @@ from polydisc import (
     check_theorem4,
     compute,
     lemma1_bound,
+    prime_power_family,
     scan,
     sun_power_formula,
     sun_prime_discriminator,
@@ -27,6 +28,23 @@ from tables import POWER_FORMULA_SMALL_N
 
 def x_power(j):
     return Polynomial.from_coeffs([0] * j + [1])
+
+
+class TestPrimePowerFamily:
+    def test_builds_x_prs_x_minus_1(self):
+        assert prime_power_family(7, 2) == x_dx_minus_1(49)
+        assert prime_power_family(2, 1000) == x_dx_minus_1(2 ** 1000)  # the cap is inclusive
+
+    @pytest.mark.parametrize("p,r,message", [
+        (6, 1, "p=6 is not prime"),
+        (3317044064679887385961981, 1, "p=3317044064679887385961981 is not prime"),  # a strong pseudoprime
+        (2, 0, "r must be >= 1"),
+        (2, 1001, "r=1001 exceeds the cap 1000"),
+    ])
+    def test_refuses(self, p, r, message):
+        with pytest.raises(ValueError) as exc:
+            prime_power_family(p, r)
+        assert str(exc.value) == message
 
 
 class TestSunPowerFormula:
@@ -168,6 +186,11 @@ class TestPrimeFamilies:
                 n += 1
             assert family_primes(family, count) == (primes, mismatches), count
             assert bool(mismatches) == (perturbed and n > 7)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_family_primes_refuses_a_count_below_one(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            family_primes(TWO_X_XMINUS1, count)
 
     def test_size_windows(self):
         for n in range(5, 201):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,6 +122,43 @@ class TestParse:
     def test_coeffs_form(self):
         assert parse_poly_input("coeffs:0,-1,27") == P(0, -1, 27)
         assert parse_poly_input("coeffs:0,-1,27") == parse_polynomial("x*(27*x-1)")
+
+    def test_coeffs_literal_beyond_the_int_digit_limit(self, int_digit_limit):
+        long, longest = "7" * 5000, "7" * 4300
+        int_digit_limit(4300)
+        for text, position in [(f"coeffs:{long}", 7), (f"coeffs:1, -{long},2", 11), (f"  coeffs:0,+{long}", 10)]:
+            with pytest.raises(PolynomialSyntaxError) as exc:
+                parse_poly_input(text)
+            assert exc.value.position == position, text
+            assert "integer literal of 5000 digits exceeds the interpreter's limit for int()" in str(exc.value)
+        assert parse_poly_input(f"coeffs:0,-{longest}") == P(0, -int(longest))  # at the limit
+        int_digit_limit(0)  # no limit: every literal parses
+        assert parse_poly_input(f"coeffs:1, -{long},2") == P(1, -int(long), 2)
+
+    @pytest.mark.parametrize("text,entry", [
+        ("coeffs:1,a", "a"), ("coeffs:1, a", "a"), ("coeffs:--5", "--5"), ("coeffs:1,,2", ""),
+    ])
+    def test_coeffs_other_bad_entries(self, text, entry):
+        # refused at the list's start, with int()'s own words
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_poly_input(text)
+        assert str(exc.value) == (
+            f"bad coefficient list: invalid literal for int() with base 10: {entry!r} (at position 7)"
+        )
+
+
+class TestPrint:
+    def test_coefficient_beyond_the_int_digit_limit(self, int_digit_limit):
+        int_digit_limit(4300)
+        f = P(1, 10 ** 5000, 3)
+        with pytest.raises(ValueError) as exc:
+            str(f)
+        assert str(exc.value) == "coefficient of x^1 exceeds the interpreter's digit limit for str()"
+        with pytest.raises(ValueError) as exc:
+            str(P(-(10 ** 5000)))
+        assert str(exc.value) == "coefficient of x^0 exceeds the interpreter's digit limit for str()"
+        assert str(P(1, 10 ** 4299, 3)) == f"3*x^2 + {10 ** 4299}*x + 1"  # 4,300 digits: at the limit
+        assert sys.get_int_max_str_digits() == 4300  # the limit itself is left alone
 
 
 class TestEvaluate:
