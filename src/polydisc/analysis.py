@@ -245,19 +245,19 @@ def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAUL
     """Check one of the paper's Theorems 1-5 against the brute-force oracle.
 
     `n_max` (default per theorem, >= 1) rises to 15 for Theorem 3, where the
-    theorem starts; Theorem 4 ignores it, sampling 200 seeded (f, p, n).
+    theorem starts; Theorem 4 checks it but samples 200 seeded (f, p, n).
     """
     if theorem not in (1, 2, 3, 4, 5):
         raise ValueError(f"unknown theorem {theorem}")
     if n_max is None:
         n_max = {1: 243, 2: 128, 3: 200, 5: 100}.get(theorem)
+    elif n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if theorem == 1:
         return _check_power_family((3,), n_max, "d=3: oracle equals 3^ceil(log3 n)")
     if theorem == 2:
         return _check_power_family((2, 4, 8, 16), n_max, "d in {2,4,8,16}: oracle equals 2^ceil(log2 n)")
     if theorem == 3:
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
         n_max = max(15, n_max)
         violations = check_theorem3(n_max)
         if violations:

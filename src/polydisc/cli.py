@@ -66,13 +66,13 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _table(f: Polynomial, args, p: Optional[int] = None) -> int:
-    """Print D_f's run-length table for n <= --n-max; a CSV labels rows against p."""
+def _table(f: Polynomial, args) -> int:
+    """Print D_f's run-length table for n <= --n-max; a CSV labels rows by `analysis.csv_prime`."""
     table = analysis.run_length_table(scan(f, args.n_max))
     if args.format == "latex":
         text = analysis.emit_latex(table, str(f), args.n_max)
     else:
-        text = analysis.emit_csv(table, p if p is not None else analysis.csv_prime(f, table))
+        text = analysis.emit_csv(table, analysis.csv_prime(f, table))
     _emit(text, args.out)
     return 0
 
@@ -82,8 +82,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    p, r = _parse_family_spec(args.family)
-    return _table(closedform.prime_power_family(p, r), args, p)
+    return _table(closedform.prime_power_family(*_parse_family_spec(args.family)), args)
 
 
 def _cmd_conjecture(args) -> int:

@@ -42,14 +42,12 @@ another degree, m is checked.
 A walk (`_first_repeat`) carries an accepting check at m on past its n
 values to the modulus's death. It goes on from the shared stamp table when
 m <= FLAT_TABLE_FACTOR * n, where the check left f(1..n) marked, and above
-that, where the check kept its residues in a set, walks a fresh dict from
-f(1).
+that, where the check marked a dict of its own, walks a fresh dict from f(1).
 """
 
 from __future__ import annotations
 
 import operator
-import random
 from collections import defaultdict
 from itertools import count, repeat
 from math import gcd
@@ -71,11 +69,12 @@ class DiscriminatorResult(NamedTuple):
 
 
 # A check at m marks the residues it has seen in a table of m slots while
-# m <= FLAT_TABLE_FACTOR * len(values), and in a set above that, so its memory
+# m <= FLAT_TABLE_FACTOR * len(values), and in a dict above that, so its memory
 # grows with len(values), not with m; indexing a slot is cheaper than hashing
 # an int. A standalone check zeroes a bytearray(m): one byte per slot, at most
-# 64 bytes per value, about what the set of a full walk over residues above
-# 256 takes on CPython 3.11 (set entries plus the int objects).
+# 64 bytes per value, about what the dict of a full walk over residues above
+# 256 takes on CPython 3.11 (dict entries plus the int objects: 62 to 77 bytes
+# per value for 256 to 10,000 values).
 # A search shares one stamp table across its candidates instead of zeroing m
 # bytes for each: a list whose slot r holds the last modulus that saw residue
 # r. A check marks r with m and rejects on a slot equal to m. A table must
@@ -90,53 +89,47 @@ FLAT_TABLE_FACTOR = 64
 # Every search reads f(1..n) in one fixed scrambled order. For x(dx - 1),
 # f(l) - f(k) = (l - k)(d(l + k) - 1), so mod a prime m above n two values
 # collide only where l + k = 1/d mod m: read in natural order, a rejected
-# check first meets such a pair near l = m/4; read in a random order, it meets
-# one of the about n/4 colliding pairs after about 2 sqrt(n) values (the
+# check first meets such a pair near l = m/4; read in a scrambled order, it
+# meets one of the about n/4 colliding pairs after about 2 sqrt(n) values (the
 # birthday bound). Whether values are distinct mod m does not depend on the
-# order, so the order moves only where a rejection stops. _DRAWS[i] is a
-# position drawn uniformly from 0..i, taken in turn from one fixed-seed
-# stream and kept, so the scrambled order of values[:n] depends on n alone;
-# they hold about 40 bytes per value of the longest prefix scrambled so far.
-_DRAWS: list[int] = []
-_draw = random.Random(0x5EED).random
+# order, so the order moves only where a rejection stops. The position for
+# index i is hash((_SCRAMBLE_SEED, i)) % (i + 1): CPython salts str and bytes
+# hashes with PYTHONHASHSEED but not int and tuple ones, so on a given
+# interpreter the scrambled order of values[:n] depends on n alone, and
+# nothing is kept between calls.
+_SCRAMBLE_SEED = 0x5EED
 
 
 def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]] = None) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
 
-    Exits on the first repeated residue. While m <= FLAT_TABLE_FACTOR *
-    len(values) the residues seen are marked in a table of m slots: a fresh
-    bytearray(m), or `stamps`, a search's shared table, grown to m slots when
-    shorter. A shared table must never see the same m twice: every m passed
-    with it must exceed every stamp already in it. Above the bound the
-    residues are a set of at most len(values) entries and `stamps` is
-    untouched. So memory grows with len(values), not with m. A modulus that
-    is not an integer raises TypeError on either path. The order of `values`
-    sets only where a rejection stops, never the answer; the searches pass
-    them in `_scramble`'s order.
+    Exits on the first repeated residue. The residues seen are marked in one
+    of three tables. While m <= FLAT_TABLE_FACTOR * len(values) it is a table
+    of m slots: a fresh bytearray(m) marked 1, or `stamps`, a search's shared
+    table, marked m and grown to m slots when shorter. A shared table must
+    never see the same m twice: every m passed with it must exceed every
+    stamp already in it. Above the bound it is a fresh dict of at most
+    len(values) entries marked m, and `stamps` is untouched. So memory grows
+    with len(values), not with m. A modulus that is not an integer raises
+    TypeError on any path. The order of `values` sets only where a rejection
+    stops, never the answer; the searches pass them in `_scramble`'s order.
     """
     m = operator.index(m)
     if not values or m < 1:
         raise ValueError("values must be nonempty and m must be >= 1")
-    if m <= FLAT_TABLE_FACTOR * len(values):
-        if stamps is None:
-            stamps, mark = bytearray(m), 1
-        else:
-            mark = m
-            if len(stamps) < m:
-                stamps.extend(repeat(0, m - len(stamps)))
-        for v in values:
-            r = v % m
-            if stamps[r] == mark:
-                return False
-            stamps[r] = mark
-        return True
-    seen = set()
+    if m > FLAT_TABLE_FACTOR * len(values):
+        table, mark = defaultdict(int), m
+    elif stamps is None:
+        table, mark = bytearray(m), 1
+    else:
+        table, mark = stamps, m
+        if len(stamps) < m:
+            stamps.extend(repeat(0, m - len(stamps)))
     for v in values:
         r = v % m
-        if r in seen:
+        if table[r] == mark:
             return False
-        seen.add(r)
+        table[r] = mark
     return True
 
 
@@ -162,13 +155,12 @@ def _scramble(values: Sequence[int], order: list[int], n: int) -> list[int]:
     values[:n] and return it.
 
     Inside-out Fisher-Yates: value i is appended and swapped with the one at
-    position _DRAWS[i]. So every prefix is a uniform permutation, each value
-    costs O(1), and extending in several steps gives the same list as in one.
+    position hash((_SCRAMBLE_SEED, i)) % (i + 1), which depends on i alone.
+    So every prefix is a scrambled permutation, each value costs O(1), and
+    extending in several steps gives the same list as in one.
     """
-    for i in range(len(_DRAWS), n):
-        _DRAWS.append(int(_draw() * (i + 1)))
     for i in range(len(order), n):
-        j = _DRAWS[i]
+        j = hash((_SCRAMBLE_SEED, i)) % (i + 1)
         order.append(values[i])
         order[i], order[j] = order[j], order[i]
     return order

@@ -302,13 +302,15 @@ def parse_poly_input(text: str) -> Polynomial:
         coeffs, pos = [], len("coeffs:")  # pos: where the current entry starts
         for part in body.split(",") if body.strip() else []:
             entry = part.strip()
+            digits = entry[1:] if entry[:1] in ("+", "-") else entry
+            if not digits.isdecimal():  # int() would also take underscores
+                raise PolynomialSyntaxError(
+                    f"bad coefficient list: invalid literal for int() with base 10: {entry!r}", len("coeffs:")
+                )
             try:
                 coeffs.append(int(entry))
-            except ValueError as exc:
-                digits = entry[1:] if entry[:1] in ("+", "-") else entry
-                if digits.isdecimal():  # int() refuses signed decimal digits only for their length
-                    raise _too_long(digits, pos + part.index(digits)) from None
-                raise PolynomialSyntaxError(f"bad coefficient list: {exc}", len("coeffs:")) from None
+            except ValueError:  # int() refuses signed decimal digits only for their length
+                raise _too_long(digits, pos + part.index(digits)) from None
             pos += len(part) + 1
         return Polynomial.from_coeffs(coeffs)
     return parse_polynomial(stripped)

@@ -349,6 +349,11 @@ PINNED = [
      "error: D is nonexistent at n=2; run-length table undefined\n"),
     (("primes", "--family", "2xx1", "--count", "0"), 1, "", "error: count must be >= 1\n"),
     (("conjecture", "--family", "p=4,r=1", "--n-max", "3"), 1, "", "error: p=4 is not prime\n"),
+    (("verify", "--theorem", "4", "--n-max", "0"), 1, "", "error: n_max must be >= 1\n"),
+    # a coefficient entry is a sign and decimal digits, as in the expression form
+    (("compute", "--poly", "coeffs:1_0", "--n", "3"), 1, "",
+     "error: bad polynomial: bad coefficient list: invalid literal for int() with base 10: '1_0'"
+     " (at position 7)\n"),
 ]
 
 
@@ -401,9 +406,8 @@ def test_cli_import_leaves_out_dataclasses_and_its_imports():
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
 
 
-def test_a_conjecture_run_proves_its_prime_once(capsys, monkeypatch):
-    # the least prime above 10^299: one Baillie-PSW test costs more than the run's scan
-    p = ntheory.next_prime_satisfying(10 ** 299, 0, 1)
+def count_proofs(monkeypatch):
+    """Wrap ntheory.is_prime; the returned list collects every number it is asked about."""
     real, proofs = ntheory.is_prime, []
 
     def counted(n):
@@ -411,8 +415,28 @@ def test_a_conjecture_run_proves_its_prime_once(capsys, monkeypatch):
         return real(n)
 
     monkeypatch.setattr(ntheory, "is_prime", counted)
+    return proofs
+
+
+@pytest.fixture(scope="module")
+def big_prime():
+    """The least prime above 10^299: one Baillie-PSW test costs more than a run's scan."""
+    return ntheory.next_prime_satisfying(10 ** 299, 0, 1)
+
+
+def test_a_conjecture_run_proves_its_prime_once(capsys, monkeypatch, big_prime):
+    p, proofs = big_prime, count_proofs(monkeypatch)
     status, out, err = run(capsys, "conjecture", "--family", f"p={p},r=1", "--n-max", "20")
     assert (status, err) == (0, "") and out.startswith("n=1 value=1 class=unit\n")
+    assert proofs.count(p) == 1
+
+
+def test_a_csv_table_run_proves_its_prime_once(capsys, monkeypatch, big_prime):
+    # the family check proves p; the CSV labels its rows against csv_prime's
+    # prime, which for a p above every row's square root is a small one
+    p, proofs = big_prime, count_proofs(monkeypatch)
+    status, out, err = run(capsys, "table", "--family", f"p={p},r=1", "--n-max", "20")
+    assert (status, err) == (0, "") and out.startswith("n_low,n_high,value,class\n1,1,1,unit\n")
     assert proofs.count(p) == 1
 
 

@@ -86,7 +86,7 @@ BIG_REPEAT = [-BIG, 7, -BIG]
 
 
 def flat_table_bound(values):
-    """The largest m whose check marks residues in a bytearray(m) rather than a set."""
+    """The largest m whose check marks residues in a bytearray(m) rather than a dict."""
     return discriminator.FLAT_TABLE_FACTOR * len(values)
 
 
@@ -318,16 +318,20 @@ class TestScrambledOrder:
 
     def test_two_calls_give_the_same_order(self):
         # one call here, after other tests asked for other lengths, and one in
-        # a fresh process: the order may depend on n alone
+        # a fresh process under each of two fixed hash seeds: the order may
+        # depend on n alone
         src = os.path.dirname(os.path.dirname(discriminator.__file__))
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); from polydisc import discriminator; "
             "print(discriminator._scramble(list(range(300)), [], 300))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
-        ).stdout
-        assert out == f"{discriminator._scramble(list(range(300)), [], 300)}\n"
+        expected = f"{discriminator._scramble(list(range(300)), [], 300)}\n"
+        for hash_seed in ("0", "12345"):
+            out = subprocess.run(
+                [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            assert out == expected, hash_seed
 
     def test_extending_in_steps_equals_extending_at_once(self):
         order = []
@@ -336,7 +340,7 @@ class TestScrambledOrder:
         assert order == discriminator._scramble(self.VALUES, [], 300)
 
     def test_rejected_checks_stop_early(self, monkeypatch):
-        # values each check reads before it exits: 67,969 here, 51,950 of
+        # values each check reads before it exits: 67,094 here, 51,950 of
         # them by the 53 accepting checks; read in natural order, the same
         # 421 checks read 89,113. Before quadratic candidates were rejected
         # by a constructed pair, 4,521 checks read 243,539.
@@ -414,7 +418,7 @@ class TestStampTable:
     @example([0, 1, 129], 2, True, [0] * 200)
     def test_walk_picks_its_table_at_the_bound(self, values, start, above, stamps):
         # the walk gets only the shared list, after an accepting check on the
-        # first `start` values at m = 64 start (flat) or 64 start + 1 (a set)
+        # first `start` values at m = 64 start (flat) or 64 start + 1 (a dict)
         start = min(start, len(values))
         m = flat_table_bound(values[:start]) + above
         assume(is_discriminating(values[start - 1::-1], m, stamps))  # the prefix in any order
@@ -423,12 +427,12 @@ class TestStampTable:
         residues = [v % m for v in values]
         assert death == next((i for i, r in enumerate(residues) if r in residues[:i]), len(values))
         if above:
-            assert stamps == before  # the check kept a set and the walk a dict
+            assert stamps == before  # the check and the walk each kept a dict of their own
         else:
             assert all(stamps[r] == m for r in residues[:death])
 
     def test_scan_crosses_the_flat_table_bound(self):
-        # D = 211 from n = 2, above 64n and kept in a set, until f(65) and
+        # D = 211 from n = 2, above 64n and kept in a dict, until f(65) and
         # f(66) collide mod 211 (65 + 66 = 131 = 1/29 mod 211); the searches
         # after that run on the flat table
         f, n_max = lcm_family(200, [0, -1, 29]), 120

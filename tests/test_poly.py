@@ -137,9 +137,13 @@ class TestParse:
 
     @pytest.mark.parametrize("text,entry", [
         ("coeffs:1,a", "a"), ("coeffs:1, a", "a"), ("coeffs:--5", "--5"), ("coeffs:1,,2", ""),
+        # int() takes underscores, the expression form does not; an entry is a
+        # sign and decimal digits, however long
+        ("coeffs:1_0", "1_0"),
+        pytest.param("coeffs:1_" + "7" * 5000, "1_" + "7" * 5000, id="coeffs:1_<5000 sevens>"),
     ])
     def test_coeffs_other_bad_entries(self, text, entry):
-        # refused at the list's start, with int()'s own words
+        # refused at the list's start, in int()'s words
         with pytest.raises(PolynomialSyntaxError) as exc:
             parse_poly_input(text)
         assert str(exc.value) == (
