@@ -68,20 +68,20 @@ class DiscriminatorResult(NamedTuple):
         return self.value is not None
 
 
-# A check at m marks the residues it has seen in a table of m slots while
-# m <= FLAT_TABLE_FACTOR * len(values), and in a dict above that, so its memory
-# grows with len(values), not with m; indexing a slot is cheaper than hashing
-# an int. A standalone check zeroes a bytearray(m): one byte per slot, at most
-# 64 bytes per value, about what the dict of a full walk over residues above
-# 256 takes on CPython 3.11 (dict entries plus the int objects: 62 to 77 bytes
-# per value for 256 to 10,000 values).
-# A search shares one stamp table across its candidates instead of zeroing m
-# bytes for each: a list whose slot r holds the last modulus that saw residue
+# A search's check at m marks the residues it has seen in a table of m slots
+# while m <= FLAT_TABLE_FACTOR * len(values), and in a dict above that, so its
+# memory grows with len(values), not with m; indexing a slot is cheaper than
+# hashing an int. A standalone check, which has no table to share, marks a
+# dict at any m: an early exit allocates next to nothing, and a full walk
+# takes 62 to 77 bytes per value for 256 to 10,000 values on CPython 3.11
+# (dict entries plus the int objects).
+# A search shares one stamp table across its candidates instead of allocating
+# one for each: a list whose slot r holds the last modulus that saw residue
 # r. A check marks r with m and rejects on a slot equal to m. A table must
 # never see the same m twice; its moduli only increase, so a stale stamp never
 # equals the current m and nothing is cleared between checks. A list, since a
 # stamp is a whole modulus and CPython 3.11 specialises list[int] loads and
-# stores, not bytearray ones. A slot is an 8-byte pointer, at most 512 bytes
+# stores, not byte-array ones. A slot is an 8-byte pointer, at most 512 bytes
 # per value, plus one int object per modulus that still owns a slot.
 # Only the checks and `_first_repeat`, which walks on from one, touch a slot.
 FLAT_TABLE_FACTOR = 64
@@ -103,33 +103,30 @@ _SCRAMBLE_SEED = 0x5EED
 def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]] = None) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
 
-    Exits on the first repeated residue. The residues seen are marked in one
-    of three tables. While m <= FLAT_TABLE_FACTOR * len(values) it is a table
-    of m slots: a fresh bytearray(m) marked 1, or `stamps`, a search's shared
-    table, marked m and grown to m slots when shorter. A shared table must
-    never see the same m twice: every m passed with it must exceed every
-    stamp already in it. Above the bound it is a fresh dict of at most
-    len(values) entries marked m, and `stamps` is untouched. So memory grows
-    with len(values), not with m. A modulus that is not an integer raises
-    TypeError on any path. The order of `values` sets only where a rejection
-    stops, never the answer; the searches pass them in `_scramble`'s order.
+    Exits on the first repeated residue. The residues seen are marked m in
+    one of two tables: `stamps`, a search's shared table, grown to m slots
+    when shorter, when it is given and m <= FLAT_TABLE_FACTOR * len(values);
+    otherwise a fresh dict of at most len(values) entries, and `stamps` is
+    untouched. So memory grows with len(values), not with m. A shared table
+    must never see the same m twice: every m passed with it must exceed every
+    stamp already in it. A modulus that is not an integer raises TypeError on
+    any path. The order of `values` sets only where a rejection stops, never
+    the answer; the searches pass them in `_scramble`'s order.
     """
     m = operator.index(m)
     if not values or m < 1:
         raise ValueError("values must be nonempty and m must be >= 1")
-    if m > FLAT_TABLE_FACTOR * len(values):
-        table, mark = defaultdict(int), m
-    elif stamps is None:
-        table, mark = bytearray(m), 1
+    if stamps is None or m > FLAT_TABLE_FACTOR * len(values):
+        table = defaultdict(int)
     else:
-        table, mark = stamps, m
+        table = stamps
         if len(stamps) < m:
             stamps.extend(repeat(0, m - len(stamps)))
     for v in values:
         r = v % m
-        if table[r] == mark:
+        if table[r] == m:
             return False
-        table[r] = mark
+        table[r] = m
     return True
 
 
@@ -205,38 +202,31 @@ def _quadratic_pair(a: int, b: int, m: int, n: int) -> Optional[tuple[int, int]]
 
 
 def _least_modulus(
-    values: Sequence[int],
-    lower: int,
-    stamps: Optional[list[int]] = None,
-    f: Optional[Polynomial] = None,
-    exact: Sequence[int] = (),
+    values: Sequence[int], lower: int, stamps: list[int], f: Polynomial, exact: Sequence[int]
 ) -> DiscriminatorResult:
-    """The least m >= lower under which the distinct integers `values` are
-    pairwise distinct.
+    """The least m >= lower under which the distinct integers `values`,
+    f(1..n) in any order, are pairwise distinct, where `exact` holds f(1..N)
+    in order and N >= n.
 
-    The candidates it checks share one stamp table: `stamps`, when the caller
-    carries one whose moduli all lie below `lower`, else a new one.
-    Callers pass the values in `_scramble`'s order, so a rejected candidate
-    stops after a few of them; any order gives the same answer and count.
+    The candidates it checks share the stamp table `stamps`, whose moduli
+    must all lie below `lower`. Callers pass the values in `_scramble`'s
+    order, so a rejected candidate stops after a few of them; any order
+    gives the same answer and count.
 
-    When `exact` holds f(1..N) in order, N >= n, and `values` are f(1..n) in
-    any order, a candidate is skipped, unchecked and uncounted, by the rules of the
+    A candidate is skipped, unchecked and uncounted, by the rules of the
     module docstring: for its c, a modulus x = m / gcd(m, c) that is settled,
     meaning known to fail, and for a quadratic f, a colliding pair. Every
-    modulus below the current candidate must then be settled, as it is when
-    the search starts at n (pigeonhole) or just above a modulus that has just
-    died, in a scan. So `candidates_tested` counts is_discriminating calls.
-    The default f = None skips nothing.
+    modulus below `lower` must be settled, as it is when the search starts at
+    n (pigeonhole) or just above a modulus that has just died, in a scan. So
+    `candidates_tested` counts is_discriminating calls.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
     ends without a cap.
     """
-    if stamps is None:
-        stamps = []
     n, tested = len(values), 0
-    c = 1 if f is None else gcd(*(v - exact[0] for v in exact[1:len(f.coeffs)])) or 1
-    quadratic = f is not None and f.degree == 2
+    c = gcd(*(v - exact[0] for v in exact[1:len(f.coeffs)])) or 1
+    quadratic = f.degree == 2
     if quadratic:
         _, b, a = f.coeffs
     for m in count(lower):
@@ -267,7 +257,7 @@ def compute(f: Polynomial, n: int) -> DiscriminatorResult:
     values = f.values(n)
     if _first_equal(values) < n:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(_scramble(values, [], n), n, f=f, exact=values)
+    return _least_modulus(_scramble(values, [], n), n, [], f, values)
 
 
 def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
@@ -305,5 +295,5 @@ def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
         if death == repeat_at:
             return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
         order = _scramble(values, order, n)
-        results.append(_least_modulus(order, m + 1, stamps, f=f, exact=values))
+        results.append(_least_modulus(order, m + 1, stamps, f, values))
         m, start = results[-1].value, n

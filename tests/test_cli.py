@@ -311,6 +311,8 @@ PINNED = [
      "error: bad polynomial: unexpected character '²' (at position 2)\n"),
     (("compute", "--poly", "x", "--n", "notanint"), 1, "",
      "error: argument --n: invalid int value: 'notanint'\n"),
+    # after a space, a polynomial that starts with '-' reads as an option; README gives the '=' form
+    (("compute", "--poly", "-3*x^2+x", "--n", "5"), 1, "", "error: argument --poly: expected one argument\n"),
     ((), 1, "", "error: the following arguments are required: command\n"),
     (("table", "--family", "p=6,r=1", "--n-max", "10"), 1, "", "error: p=6 is not prime\n"),
     # compute has no --lower or --upper: every search starts at n (pigeonhole)

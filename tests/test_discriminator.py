@@ -86,13 +86,15 @@ BIG_REPEAT = [-BIG, 7, -BIG]
 
 
 def flat_table_bound(values):
-    """The largest m whose check marks residues in a bytearray(m) rather than a dict."""
+    """The largest m whose check, given a search's stamp list, marks residues
+    there rather than in a dict of its own."""
     return discriminator.FLAT_TABLE_FACTOR * len(values)
 
 
 def with_modulus(values):
-    # small m, huge m, and m within 3 of the bound, so both representations
-    # see the same kinds of values
+    # small m, huge m, and m within 3 of the flat-table bound, where a check
+    # given a stamp list turns to a dict; a standalone check marks a dict on
+    # both sides of it
     bound = flat_table_bound(values)
     moduli = st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30), st.integers(bound - 3, bound + 3))
     return st.tuples(st.just(values), moduli)
@@ -153,10 +155,20 @@ class TestCheckMemory:
         values = [7] * 256
         assert check_peak_bytes(values, flat_table_bound(values) + 1) < 2048
 
-    def test_at_the_bound_the_table_is_the_bound_in_bytes(self):
-        values = list(range(1000, 1256))  # distinct mod the bound: a full walk
-        bound = flat_table_bound(values)
-        assert bound <= check_peak_bytes(values, bound) <= bound + 512
+    def test_at_the_bound_an_early_exit_allocates_no_table(self):
+        # a standalone check has no m-slot table to zero, even where a
+        # search's check would mark its stamp list
+        values = [7] * 256
+        assert check_peak_bytes(values, flat_table_bound(values)) < 2048
+
+    @pytest.mark.parametrize("m", ["bound", 10 ** 30], ids=["at_the_bound", "at_10**30"])
+    def test_a_full_walk_allocates_per_value(self, m):
+        # distinct mod either m: a full walk marks a dict of 256 residues.
+        # CPython 3.10-3.13 peak at 74-76 bytes per value at the bound, where
+        # each residue is a new int, and 55 at 10**30, where it is the value
+        values = list(range(1000, 1256))
+        m = flat_table_bound(values) if m == "bound" else m
+        assert check_peak_bytes(values, m) <= 78 * len(values)
 
 
 class TestTrivialUpperBound:
@@ -486,20 +498,23 @@ class TestStampTable:
 
     def test_a_search_far_above_the_bound_allocates_for_n_not_m(self):
         # values 0 and lcm(1..10000): every m up to 10006 divides their
-        # difference, so the search checks 10,006 moduli from 2 and stops at
-        # the prime 10007, far above the bound 128
+        # difference, so of the 10,006 checks at m = 2..10007 on one shared
+        # list only the prime 10007, far above the bound 128, accepts
         values = [0, math.lcm(*range(1, 10001))]
-        discriminator._least_modulus(values, 2)  # first-call allocations are not the search's
+        bound = flat_table_bound(values)
+        is_discriminating(values, 1, [])  # first-call allocations are not the checks'
+        stamps = []
         tracemalloc.start()
         try:
-            result = discriminator._least_modulus(values, 2)
+            accepted = [m for m in range(2, 10008) if is_discriminating(values, m, stamps)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.value == 10007
-        # a table of at most 128 slots of 8 bytes, one set of two residues and
-        # the loop's ints, against 10 KB for one bytearray(m) at the end
-        assert peak < 8 * flat_table_bound(values) + 2048
+        assert accepted == [10007]
+        # a list of at most 128 slots of 8 bytes, one dict of two residues and
+        # the loop's ints, against 80 KB for a list grown to 10,007 slots
+        assert len(stamps) <= bound
+        assert peak < 8 * bound + 2048
 
 
 class TestCommonDifference:
