@@ -2,12 +2,14 @@
 
 The CLI parses and prints. Every input rule (a prime p, a capped r, n >= 1,
 a count >= 1, a finite D) belongs to the library function that takes the
-value; the CLI prints its ValueError as an `error:` line and exits 1.
+value; the CLI prints its ValueError as an `error:` line and exits 1, as it
+does when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -153,8 +155,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except (CLIError, ValueError) as exc:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return status
+    except (CLIError, ValueError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the exit flush then writes to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,7 +66,7 @@ def bsw_discriminator(j: int, n: int) -> int:
         raise ValueError("j and n must be >= 1")
     if j % 2 == 1:
         for k in itertools.count(n):
-            if ntheory.is_squarefree(k) and gcd(ntheory.euler_phi(k), j) == 1:
+            if all(e == 1 for _, e in ntheory.factorize(k)) and gcd(ntheory.euler_phi(k), j) == 1:
                 return k
     for k in itertools.count(2 * n):
         if ntheory.is_prime(k) or (k % 2 == 0 and ntheory.is_prime(k // 2)):

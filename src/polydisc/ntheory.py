@@ -4,23 +4,17 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The trial divisors of is_prime, and the witness set of the ladder's top row.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Deterministic Miller-Rabin witness sets (threshold, bases): each set is
 # proven correct for every n below its threshold. The last threshold is the
 # least strong pseudoprime to all 13 of its bases; at and above it is_prime
 # runs BPSW instead.
 _MR_LADDER = (
-    (2_047, (2,)),
     (1_373_653, (2, 3)),
-    (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
     (3_215_031_751, (2, 3, 5, 7)),
-    (4_759_123_141, (2, 7, 61)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
 )
 
 _TRIAL_LIMIT = 10 ** 6
@@ -119,11 +113,9 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
-    if n < 41 * 41:
+            return n == p
+    if n < 43 * 43:
         return True
     for threshold, bases in _MR_LADDER:
         if n < threshold:
@@ -136,8 +128,6 @@ def _pollard_rho(n: int) -> int:
 
     Raises ValueError when _RHO_MAX_C walks all fail, as they do for a prime.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, _RHO_MAX_C + 1):
         x = y = 2
         d = 1
@@ -177,8 +167,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             record(m)
             continue
@@ -196,12 +184,6 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         result = result // p * (p - 1)
     return result
-
-
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        raise ValueError("is_squarefree requires n >= 1")
-    return all(e == 1 for _, e in factorize(n))
 
 
 def ceil_log(base: int, n: int) -> int:
@@ -228,17 +210,15 @@ def next_prime_satisfying(lower: int, residue: int, modulus: int) -> int:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     residue %= modulus
-    if modulus > 1:
-        g = gcd(residue, modulus)
-        if g > 1:
-            if g > lower and g % modulus == residue and is_prime(g):
-                return g
-            raise ValueError(
-                f"residue class {residue} mod {modulus} contains no prime > {lower}"
-            )
+    g = gcd(residue, modulus)
+    if g > 1:
+        if g > lower and g % modulus == residue and is_prime(g):
+            return g
+        raise ValueError(
+            f"residue class {residue} mod {modulus} contains no prime > {lower}"
+        )
     candidate = lower + 1
-    if modulus > 1:
-        candidate += (residue - candidate) % modulus
+    candidate += (residue - candidate) % modulus
     while True:
         if is_prime(candidate):
             return candidate

@@ -20,6 +20,18 @@ from polydisc.ntheory import factorize, is_prime, next_prime_satisfying
 from tables import POWER_FORMULA_SMALL_N
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call,args,message", [
+        (analysis.verify_theorem, (6,), "unknown theorem 6"),
+        (emit_csv, (run_length_table([5]), 4), "4 is not prime"),
+        (classify_value, (0, 3), "value must be >= 1"),
+    ], ids=["verify_theorem", "emit_csv", "classify_value"])
+    def test_refuses(self, call, args, message):
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == message
+
+
 class TestClassifyValue:
     def test_examples(self):
         assert classify_value(841, 29).kind is Kind.POWER_OF_P

@@ -218,6 +218,26 @@ class TestFailurePaths:
         assert out == "11\n12\n13\n"
         assert err == "mismatch at n=6: formula 12, oracle 11\n"
 
+    @pytest.mark.parametrize("theorem,n_max,name,perturb,line", [
+        (3, 20, "check_theorem3", lambda real: lambda n_max: real(n_max) + [(20, 21)],
+         "FAIL: counterexample n=20 m=21: discriminating but neither prime nor 2^k\n"),
+        # the third of the seeded trials is reported as failing
+        (4, 1, "sample_sandwich_trials",
+         lambda real: lambda count, seed: (
+             r._replace(holds=False) if i == 2 else r for i, r in enumerate(real(count, seed))
+         ),
+         "FAIL: counterexample f=9*x^3 - 8*x^2 - 3*x + 5 p=3 n=30: D_f=87, D_pf=145\n"),
+        (5, 12, "bsw_discriminator", lambda real: lambda j, n: real(j, n) + (n == 10),
+         "FAIL: counterexample j=2 n=10: oracle 22, formula 23\n"),
+    ], ids=["theorem3", "theorem4", "theorem5"])
+    def test_verify_counterexample_of_each_check_exits_2(
+        self, capsys, monkeypatch, theorem, n_max, name, perturb, line
+    ):
+        monkeypatch.setattr(analysis, name, perturb(getattr(analysis, name)))
+        status, out, err = run(capsys, "verify", "--theorem", str(theorem), "--n-max", str(n_max))
+        assert (status, err) == (2, "")
+        assert out.splitlines(keepends=True)[-1] == line
+
 
 SCAN_CSV = (
     "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,4,7,prime\n"
@@ -352,6 +372,11 @@ PINNED = [
     (("primes", "--family", "2xx1", "--count", "0"), 1, "", "error: count must be >= 1\n"),
     (("conjecture", "--family", "p=4,r=1", "--n-max", "3"), 1, "", "error: p=4 is not prime\n"),
     (("verify", "--theorem", "4", "--n-max", "0"), 1, "", "error: n_max must be >= 1\n"),
+    # a --family spec is comma-separated key=int fields
+    (("table", "--family", "p29,r=1", "--n-max", "5"), 1, "",
+     "error: bad --family spec 'p29,r=1', expected p=<prime>,r=<int>\n"),
+    (("table", "--family", "p=x,r=1", "--n-max", "5"), 1, "", "error: bad --family value 'x'\n"),
+    (("compute", "--poly=(x+1", "--n", "3"), 1, "", "error: bad polynomial: expected ')' (at position 4)\n"),
     # a coefficient entry is a sign and decimal digits, as in the expression form
     (("compute", "--poly", "coeffs:1_0", "--n", "3"), 1, "",
      "error: bad polynomial: bad coefficient list: invalid literal for int() with base 10: '1_0'"
@@ -394,15 +419,56 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, command):
     )
 
 
+SRC = os.path.dirname(os.path.dirname(polydisc.__file__))
+
+CLOSED_STDOUT_RUNS = [
+    ("compute", "--poly", "x*(27*x-1)", "--n", "95"),
+    ("scan", "--poly", "x*(29*x-1)", "--n-max", "12"),
+    ("table", "--family", "p=29,r=1", "--n-max", "12"),
+    ("verify", "--theorem", "1", "--n-max", "9"),
+    ("conjecture", "--family", "p=29,r=1", "--n-max", "12"),
+    ("primes", "--family", "2xx1", "--count", "5"),
+]
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """Run the CLI in a child whose stdout is a pipe with no reader; -> (status, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "polydisc.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return child.returncode, child.stderr
+
+
+# buffered, a write to the closed pipe fails at the flush; unbuffered, at the first print
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_RUNS, ids=[argv[0] for argv in CLOSED_STDOUT_RUNS])
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    assert run_with_closed_stdout(argv, unbuffered) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def test_help_to_a_closed_unbuffered_stdout_exits_0_silently():
+    # argparse drops the error of its own write
+    assert run_with_closed_stdout(("compute", "--help"), unbuffered=True) == (0, "")
+
+
 def test_cli_import_leaves_out_dataclasses_and_its_imports():
     # every CLI run imports polydisc.cli; `dataclasses` would bring these with it
-    src = os.path.dirname(os.path.dirname(polydisc.__file__))
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
         "import polydisc.cli; print(*sorted(set(sys.modules) - before))"
     )
     loaded = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True, timeout=60
     ).stdout.split()
     assert "polydisc.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)

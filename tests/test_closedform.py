@@ -47,6 +47,19 @@ class TestPrimePowerFamily:
         assert str(exc.value) == message
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call,args,message", [
+        (sun_power_formula, (2, 0), "n must be >= 1"),
+        (bsw_discriminator, (0, 5), "j and n must be >= 1"),
+        (lemma1_bound, (29, 0, 5), "r and n must be >= 1"),
+        (sun_prime_discriminator, (FAMILIES["2xx1"], 0), "n must be >= 1"),
+    ], ids=["sun_power_formula", "bsw_discriminator", "lemma1_bound", "sun_prime_discriminator"])
+    def test_refuses(self, call, args, message):
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == message
+
+
 class TestSunPowerFormula:
     def test_examples(self):
         assert sun_power_formula(3, 10) == 27

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from polydisc import ntheory
@@ -38,6 +40,36 @@ class TestIsPrime:
         assert ntheory.is_prime(p) and ntheory.is_prime(q)
         assert not ntheory.is_prime(n)
         assert ntheory.factorize(n) == [(p, 1), (q, 1)]
+
+    @pytest.mark.parametrize("n,factor", [
+        (2_047, 23),
+        (1_373_653, 829),
+        (9_080_191, 2_131),
+        (25_326_001, 2_251),
+        (3_215_031_751, 151),
+        (4_759_123_141, 48_781),
+        (341_550_071_728_321, 10_670_053),
+        (3_825_123_056_546_413_051, 149_491),
+        (318_665_857_834_031_151_167_461, 399_165_290_221),
+        (3_317_044_064_679_887_385_961_981, 1_287_836_182_261),
+    ])
+    def test_refuses_each_published_witness_set_bound(self, n, factor):
+        # each is the least strong pseudoprime to one published witness set
+        # (Jaeschke 1993; Sorenson & Webster 2015), composite by its factor
+        assert n % factor == 0 and 1 < factor < n
+        assert not ntheory.is_prime(n)
+
+    @pytest.mark.parametrize("centre", [1_373_653, 3_215_031_751])
+    def test_agrees_with_a_segmented_sieve_across_a_ladder_bound(self, centre):
+        low, high = centre - 50_000, centre + 50_000
+        flags = bytearray([1]) * (high - low + 1)
+        small = sieve(isqrt(high))
+        for p in range(2, isqrt(high) + 1):
+            if small[p]:
+                start = max(p * p, -(-low // p) * p)
+                flags[start - low :: p] = bytearray(len(flags[start - low :: p]))
+        for n in range(low, high + 1):
+            assert ntheory.is_prime(n) == bool(flags[n - low]), n
 
     def test_beyond_the_ladder(self):
         assert ntheory.is_prime(2 ** 89 - 1)
@@ -84,6 +116,18 @@ class TestFactorize:
             ntheory._pollard_rho(1_000_003)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call,args,message", [
+        (ntheory.euler_phi, (0,), "euler_phi requires n >= 1"),
+        (ntheory.ceil_log, (1, 5), "ceil_log requires base >= 2"),
+        (ntheory.next_prime_satisfying, (1, 0, 0), "modulus must be >= 1"),
+    ], ids=["euler_phi", "ceil_log", "next_prime_satisfying"])
+    def test_refuses(self, call, args, message):
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == message
+
+
 class TestEulerPhi:
     def test_examples(self):
         assert ntheory.euler_phi(1) == 1
@@ -94,13 +138,6 @@ class TestEulerPhi:
         for p in range(2, 10 ** 4):
             if ntheory.is_prime(p):
                 assert ntheory.euler_phi(p) == p - 1
-
-
-class TestSquarefree:
-    def test_examples(self):
-        assert ntheory.is_squarefree(30)
-        assert not ntheory.is_squarefree(12)
-        assert ntheory.is_squarefree(1)
 
 
 class TestCeilLog:

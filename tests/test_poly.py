@@ -214,6 +214,11 @@ class TestScaleCompose:
         with pytest.raises(ValueError):
             P(1, 1).scale(0)
 
+    def test_power_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError) as exc:
+            P(0, 1) ** -1
+        assert str(exc.value) == "negative exponent"
+
 
 class TestRecord:
     def test_equal_coefficients_are_equal_and_hash_alike(self):
