@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import partial
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import ntheory
 from .closedform import bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
-from .discriminator import DiscriminatorResult, _first_repeat, _scramble, is_discriminating, scan
+from .discriminator import Run, _first_repeat, _scramble, is_discriminating, scan
 from .poly import Polynomial
 
 
@@ -65,19 +66,17 @@ class RunTable(NamedTuple):
         return out
 
 
-def run_length_table(
-    results: Sequence[Union[DiscriminatorResult, int]]
-) -> RunTable:
-    """Encode a finite D sequence (indexed by n = 1, 2, ...) as runs."""
+def run_length_table(results: Sequence[Union[Run, int]]) -> RunTable:
+    """The finite runs of D: `scan`'s runs, or D's values indexed by n = 1, 2, ..."""
     rows: list[tuple[int, int, int]] = []
     for n, item in enumerate(results, start=1):
-        v = item.value if isinstance(item, DiscriminatorResult) else int(item)
+        n_low, n_high, v, _ = item if isinstance(item, Run) else (n, n, int(item), 0)
         if v is None:
-            raise ValueError(f"D is nonexistent at n={n}; run-length table undefined")
+            raise ValueError(f"D is nonexistent at n={n_low}; run-length table undefined")
         if rows and rows[-1][2] == v:
-            rows[-1] = (rows[-1][0], n, v)
+            rows[-1] = (rows[-1][0], n_high, v)
         else:
-            rows.append((n, n, v))
+            rows.append((n_low, n_high, v))
     return RunTable(tuple(rows))
 
 
@@ -152,12 +151,14 @@ def check_conjecture1(
     caps r before anything is scanned.
     """
     exceptions: list[tuple[int, int, ValueClass]] = []
-    for result in scan(prime_power_family(p, r), n_max):
-        v = result.value
-        # lemma1_bound(p, r, n), without proving p prime again
-        if ntheory.is_prime(v) or (v > 1 and v == p ** ntheory.ceil_log(p, result.n)):
+    for n_low, n_high, v, _ in scan(prime_power_family(p, r), n_max):
+        if ntheory.is_prime(v):
             continue
-        exceptions.append((result.n, v, _classify(v, p)))
+        cls = _classify(v, p)
+        # lemma1_bound(p, r, n), without proving p prime again
+        exceptions += [
+            (n, v, cls) for n in range(n_low, n_high + 1) if v == 1 or v != p ** ntheory.ceil_log(p, n)
+        ]
     return exceptions
 
 
@@ -209,15 +210,25 @@ class Verdict(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
+def _mismatches(run: Run, formula):
+    """(n, formula(n)) for each n of `run` where a formula nondecreasing in n
+    differs from the run's value; a run that matches at both ends matches
+    throughout, so only a run that does not is read n by n."""
+    n_low, n_high, value, _ = run
+    if formula(n_high) == value and (n_low == n_high or formula(n_low) == value):
+        return
+    for n in range(n_low, n_high + 1):
+        expected = formula(n)
+        if expected != value:
+            yield n, expected
+
+
 def _check_power_family(ds: Sequence[int], n_max: int, claim: str) -> Verdict:
     """Theorems 1 and 2: the oracle equals sun_power_formula for x(dx - 1)."""
     for d in ds:
-        for res in scan(x_dx_minus_1(d), n_max):
-            expected = sun_power_formula(d, res.n)
-            if res.value != expected:
-                return Verdict(
-                    False, f"counterexample d={d} n={res.n}: oracle {res.value}, formula {expected}"
-                )
+        for run in scan(x_dx_minus_1(d), n_max):
+            for n, expected in _mismatches(run, partial(sun_power_formula, d)):
+                return Verdict(False, f"counterexample d={d} n={n}: oracle {run.value}, formula {expected}")
     return Verdict(True, f"{claim} for all n <= {n_max}")
 
 
@@ -226,14 +237,12 @@ def _check_theorem5(n_max: int) -> Verdict:
     notes = []
     for j in (2, 3, 4, 5, 6, 9):
         known = KNOWN_POWER_FORMULA_EXCEPTIONS.get(j, ())
-        for res in scan(Polynomial.from_coeffs([0] * j + [1]), n_max):
-            formula = bsw_discriminator(j, res.n)
-            if res.value == formula:
-                continue
-            detail = f"j={j} n={res.n}: oracle {res.value}, formula {formula}"
-            if (res.n, res.value, formula) not in known:
-                return Verdict(False, f"counterexample {detail}")
-            notes.append(f"known small-n exception {detail}")
+        for run in scan(Polynomial.from_coeffs([0] * j + [1]), n_max):
+            for n, formula in _mismatches(run, partial(bsw_discriminator, j)):
+                detail = f"j={j} n={n}: oracle {run.value}, formula {formula}"
+                if (n, run.value, formula) not in known:
+                    return Verdict(False, f"counterexample {detail}")
+                notes.append(f"known small-n exception {detail}")
     return Verdict(
         True,
         f"power formula matched the oracle for n <= {n_max} outside {len(notes)} known small-n exceptions",

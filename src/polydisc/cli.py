@@ -3,7 +3,7 @@
 The CLI parses and prints. Every input rule (a prime p, a capped r, n >= 1,
 a count >= 1, a finite D) belongs to the library function that takes the
 value; the CLI prints its ValueError as an `error:` line and exits 1, as it
-does when stdout is closed before the output is written.
+does when a write to stdout fails (a closed pipe, a full device).
 """
 
 from __future__ import annotations
@@ -154,12 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help prints, then exits before the flush below
+            sys.stdout.flush()
+            raise
         status = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        sys.stdout.flush()  # a closed or full stdout fails here, not at interpreter exit
         return status
-    except (CLIError, ValueError, BrokenPipeError) as exc:
-        if isinstance(exc, BrokenPipeError):  # the exit flush then writes to nowhere
+    except (CLIError, ValueError, OSError) as exc:
+        # the library does no I/O and _emit reports its own file, so an
+        # OSError is a failed write to stdout: the exit flush then writes to nowhere
+        if isinstance(exc, OSError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -130,9 +130,9 @@ def family_primes(
 ) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
     """The first `count` distinct formula values from n = FAMILY_VALID_FROM on.
 
-    Each n is cross-checked against one warm oracle scan up to the last n;
-    returns the primes and the (n, formula, oracle) mismatches, which the
-    theorem predicts are none.
+    Each n is cross-checked against the runs of one oracle scan up to the
+    last n; returns the primes and the (n, formula, oracle) mismatches, which
+    the theorem predicts are none.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -143,8 +143,12 @@ def family_primes(
         formulas.append(formula)
         if not primes or formula != primes[-1]:
             primes.append(formula)
-    oracle = scan(family.polynomial, FAMILY_VALID_FROM + len(formulas) - 1)[FAMILY_VALID_FROM - 1:]
-    mismatches = [(r.n, formula, r.value) for r, formula in zip(oracle, formulas, strict=True) if r.value != formula]
+    mismatches = [
+        (n, formulas[n - FAMILY_VALID_FROM], run.value)
+        for run in scan(family.polynomial, FAMILY_VALID_FROM + len(formulas) - 1)
+        for n in range(max(run.n_low, FAMILY_VALID_FROM), run.n_high + 1)
+        if run.value != formulas[n - FAMILY_VALID_FROM]
+    ]
     return primes, mismatches
 
 

@@ -1,20 +1,36 @@
 """Brute-force discriminator oracle.
 
 D_f(n) is the least positive m under which f(1), ..., f(n) are pairwise
-distinct mod m, or nonexistent when the values themselves collide. Each
-search computes the exact values f(1..n) once and checks candidate moduli m
-by reducing those integers mod m, read in one fixed scrambled order
-(`_scramble`) so that a rejected candidate stops after a few values.
+distinct mod m, or nonexistent when the values themselves collide. Write
+T(m), the death time of m, for the least l at which f(1..l) collide mod m:
+D_f(n) is the least m with T(m) > n. A search tries candidates m upward and
+asks whether m is alive at n, that is whether T(m) > n, in one of two ways.
 
-Every search starts where each smaller modulus is settled, meaning known
-to fail: compute at n, below which n values cannot be distinct (pigeonhole),
-and each of scan's searches just above the modulus that has just died. So a
-search can skip the candidates that a smaller modulus decides. Holding
-f(1..N), it takes c as the gcd of f(k) - f(1) over 1 < k <= min(N, deg f +
-1), or 1 when all of those are 0. By Newton's forward differences every
-f(l) - f(k) is an integer combination of f(2) - f(1), ..., f(deg f + 1) -
-f(1), so c divides every difference of f(1..N). Let g = gcd(m, c) and x = m /
-g. As gcd(x, c / g) = 1, for every integer e
+A quadratic f = a x^2 + b x + e is decided by arithmetic, reading no value
+of f. With d = l - k and s = l + k, f(l) - f(k) = d (a s + b), and for u =
+gcd(m, d) m divides it exactly when m / u divides a s + b. A pair with d a
+multiple of u and d >= 3u has a twin with the same s, d - 2u and a smaller
+l, so T(m) is the least l = k + d over the divisors u of m, d in {u, 2u}
+and k >= 1 with m / u | 2a k + a d + b (`_pair_time`); u = m gives the
+pigeonhole bound T(m) <= m + 1. `_death_time` tries u = 1, then the part of
+m built from a's primes, then every divisor below the least l found so far,
+and a rejection stops at the first l <= n. The values collide exactly when
+a s + b = 0 for an integer s >= 3, from n = s // 2 + 1 on.
+
+Any other f is decided by its values: each search computes f(1..n) once and
+checks candidate moduli m by reducing those integers mod m, read in one
+fixed scrambled order (`_scramble`) so that a rejected candidate stops
+after a few values.
+
+Either way, every search starts where each smaller modulus is settled,
+meaning known to fail: compute at n, below which n values cannot be
+distinct (pigeonhole), and each of scan's searches just above the modulus
+that has just died. So a search can skip the candidates that a smaller
+modulus decides. Let c divide every difference of f(1..n): the gcd of f(k)
+- f(1) over 1 < k <= min(n, deg f + 1), or 1 when all of those are 0, since
+by Newton's forward differences every f(l) - f(k) is an integer combination
+of f(2) - f(1), ..., f(deg f + 1) - f(1); for a quadratic, gcd(3a + b, 2a).
+Let g = gcd(m, c) and x = m / g. As gcd(x, c / g) = 1, for every integer e
 
     m | c e  <=>  x | (c / g) e  <=>  x | e,
 
@@ -25,19 +41,6 @@ since n integers share a residue mod x, or if gcd(x, c) = 1, since then
 x | c e <=> x | e as well and m fails exactly when x does. Either way a
 skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
 m | f(l) - f(k); in the second case it is x's own witness pair.
-
-A quadratic f = a x^2 + b x + e names a colliding pair itself: f(l) - f(k) =
-(l - k)(a(l + k) + b), so m fails once it divides a s + b for some s = l + k
-that two indices in 1..n can make. That congruence is solvable exactly when
-h = gcd(a, m) divides b, with s = (-b / h)(a / h)^-1 (mod m / h)
-(`_quadratic_pair`). An odd s is made by the neighbours ((s - 1) / 2,
-(s + 1) / 2), with f(l) - f(k) = a s + b, and an even s by (s / 2 - 1,
-s / 2 + 1), with f(l) - f(k) = 2(a s + b); so the least solution s >= 3
-gives a pair in range exactly when s <= 2n - 1. A search skips such an m,
-unchecked, once the pair also collides in the exact values, so the algebra
-can cost a check but never change an answer. Otherwise, as for the accepting
-modulus, a pair splitting m across both factors, h not dividing b, or f of
-another degree, m is checked.
 
 A walk (`_first_repeat`) carries an accepting check at m on past its n
 values to the modulus's death. It goes on from the shared stamp table when
@@ -53,6 +56,7 @@ from itertools import count, repeat
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
+from .ntheory import factorize
 from .poly import Polynomial
 
 
@@ -61,11 +65,21 @@ class DiscriminatorResult(NamedTuple):
 
     value: Optional[int]
     n: int
-    candidates_tested: int  # moduli checked in full; 0 when scan confirms D(n-1) by one lookup
+    candidates_tested: int  # is_discriminating calls; 0 for a quadratic, decided by arithmetic
 
     @property
     def exists(self) -> bool:
         return self.value is not None
+
+
+class Run(NamedTuple):
+    """D_f(n) = value for n_low <= n <= n_high (None = nonexistent), and the
+    candidates that the search which found the value tested."""
+
+    n_low: int
+    n_high: int
+    value: Optional[int]
+    candidates_tested: int
 
 
 # A search's check at m marks the residues it has seen in a table of m slots
@@ -186,62 +200,124 @@ def _first_equal(values: Sequence[int]) -> int:
     return len(values)
 
 
-def _quadratic_pair(a: int, b: int, m: int, n: int) -> Optional[tuple[int, int]]:
-    """The pair (k, l), 1 <= k < l <= n, that the least s = l + k >= 3 with
-    m | a s + b makes (see the module docstring), so that m | f(l) - f(k) for
-    f = a x^2 + b x + e; None when gcd(a, m) does not divide b or that s
-    exceeds 2n - 1. `a` must be nonzero."""
-    h = gcd(a, m)
-    if b % h:
-        return None
-    step = m // h
-    s = 3 + (-(b // h) * pow(a // h, -1, step) - 3) % step
-    if s >= 2 * n:
-        return None
-    return ((s - 1) // 2, (s + 1) // 2) if s & 1 else (s // 2 - 1, s // 2 + 1)
+def _pair_time(a: int, b: int, m: int, u: int) -> int:
+    """The least l = k + d over d in {u, 2u} and k >= 1 with
+    m / u | 2a k + a d + b, or m + 1 when there is none; u must divide m."""
+    step = m // u
+    h = gcd(2 * a, step)
+    step //= h
+    inverse = pow(2 * a // h, -1, step)
+    best = m + 1
+    for d in (u, 2 * u):
+        e = -(a * d + b)
+        if e % h == 0:
+            best = min(best, d + 1 + (e // h * inverse - 1) % step)
+    return best
 
 
-def _least_modulus(
-    values: Sequence[int], lower: int, stamps: list[int], f: Polynomial, exact: Sequence[int]
-) -> DiscriminatorResult:
-    """The least m >= lower under which the distinct integers `values`,
-    f(1..n) in any order, are pairwise distinct, where `exact` holds f(1..N)
-    in order and N >= n.
+def _death_time(a: int, b: int, m: int, n: int) -> int:
+    """T(m) for f = a x^2 + b x + e when T(m) > n, else some l <= n at which
+    f(1..l) collide mod m, by the module docstring's stages. n = 0 gives T(m)."""
+    a, b = a % m, b % m
+    h, best = gcd(a, m), m + 1
+    if b % h == 0:  # u = 1: l = s // 2 + 1 for the least s = l + k >= 3 with m | a s + b
+        step = m // h
+        best = (3 + (-(b // h) * pow(a // h, -1, step) - 3) % step) // 2 + 1
+        if best <= n:
+            return best
+    rest = m  # m without a's primes
+    while (g := gcd(rest, a)) > 1:
+        rest //= g
+    if rest < m:
+        best = min(best, _pair_time(a, b, m, m // rest))
+        if best <= n:
+            return best
+    divisors = [1]
+    for p, e in factorize(m):
+        divisors += [q * p ** i for q in divisors for i in range(1, e + 1)]
+    for u in sorted(divisors):
+        if u + 1 >= best:  # l >= d + 1 >= u + 1
+            break
+        best = min(best, _pair_time(a, b, m, u))
+        if best <= n:
+            break
+    return best
 
-    The candidates it checks share the stamp table `stamps`, whose moduli
-    must all lie below `lower`. Callers pass the values in `_scramble`'s
-    order, so a rejected candidate stops after a few of them; any order
-    gives the same answer and count.
 
-    A candidate is skipped, unchecked and uncounted, by the rules of the
-    module docstring: for its c, a modulus x = m / gcd(m, c) that is settled,
-    meaning known to fail, and for a quadratic f, a colliding pair. Every
-    modulus below `lower` must be settled, as it is when the search starts at
-    n (pigeonhole) or just above a modulus that has just died, in a scan. So
-    `candidates_tested` counts is_discriminating calls.
+class _Values:
+    """The value path: f(1..n_max) exactly, their scrambled prefix for the
+    last search, and the stamp table that searches and walks share."""
+
+    def __init__(self, f: Polynomial, n_max: int):
+        self.values = f.values(n_max)
+        self.repeat = _first_equal(self.values)
+        self.c = gcd(*(v - self.values[0] for v in self.values[1:len(f.coeffs)])) or 1
+        self.order: list[int] = []
+        self.stamps: list[int] = []
+        self.tested = 0
+
+    def at(self, n: int):
+        """The test "m discriminates f(1..n)", counted in `tested`."""
+        order, stamps = _scramble(self.values, self.order, n), self.stamps
+
+        def alive(m: int) -> bool:
+            self.tested += 1
+            return is_discriminating(order, m, stamps)
+
+        return alive
+
+    def death(self, m: int, start: int) -> int:
+        return _first_repeat(self.values, m, self.stamps, start)
+
+
+class _Quadratic:
+    """The arithmetic path for f = a x^2 + b x + e: no value of f is read and
+    no candidate is checked in full, so `tested` stays 0."""
+
+    tested = 0
+
+    def __init__(self, f: Polynomial, n_max: int):
+        _, b, a = f.coeffs
+        s = -b // a
+        self.a, self.b, self.n_max = a, b, n_max
+        self.repeat = min(s // 2, n_max) if a * s + b == 0 and s >= 3 else n_max
+        self.c = gcd(3 * a + b, 2 * a)
+
+    def at(self, n: int):
+        a, b = self.a, self.b
+        return lambda m: _death_time(a, b, m, n) > n
+
+    def death(self, m: int, start: int) -> int:
+        return min(_death_time(self.a, self.b, m, 0) - 1, self.n_max)
+
+
+def _path(f: Polynomial, n_max: int):
+    """How searches on f(1..n), n <= n_max, decide a modulus."""
+    return (_Quadratic if f.degree == 2 else _Values)(f, n_max)
+
+
+def _least_modulus(path, lower: int, n: int) -> DiscriminatorResult:
+    """The least m >= lower alive at n, decided by `path`.
+
+    A candidate is skipped, unchecked and uncounted, by the module
+    docstring's common-difference rule. Every modulus below `lower` must be
+    settled, as it is when the search starts at n (pigeonhole) or just above
+    a modulus that has just died, in a scan. So `candidates_tested` counts
+    the path's full checks: is_discriminating calls on the value path.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
     ends without a cap.
     """
-    n, tested = len(values), 0
-    c = gcd(*(v - exact[0] for v in exact[1:len(f.coeffs)])) or 1
-    quadratic = f.degree == 2
-    if quadratic:
-        _, b, a = f.coeffs
+    alive, c, tested = path.at(n), path.c, path.tested
     for m in count(lower):
         g = gcd(m, c)
         if g > 1:
             x = m // g
             if x < n or gcd(x, c) == 1:
                 continue
-        if quadratic:
-            pair = _quadratic_pair(a, b, m, n)
-            if pair is not None and (exact[pair[1] - 1] - exact[pair[0] - 1]) % m == 0:
-                continue
-        tested += 1
-        if is_discriminating(values, m, stamps):
-            return DiscriminatorResult(m, n, tested)
+        if alive(m):
+            return DiscriminatorResult(m, n, path.tested - tested)
 
 
 def compute(f: Polynomial, n: int) -> DiscriminatorResult:
@@ -249,51 +325,41 @@ def compute(f: Polynomial, n: int) -> DiscriminatorResult:
     collide.
 
     The search starts at n, below which no modulus discriminates
-    (pigeonhole), reads f(1..n) in `_scramble`'s order and skips candidates
-    by the module docstring's rules.
+    (pigeonhole), and decides candidates by the module docstring's rules.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = f.values(n)
-    if _first_equal(values) < n:
+    path = _path(f, n)
+    if path.repeat < n:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(_scramble(values, [], n), n, [], f, values)
+    return _least_modulus(path, n, n)
 
 
-def scan(f: Polynomial, n_max: int) -> list[DiscriminatorResult]:
-    """compute(f, n) for n = 1..n_max, walking each m = D(n-1) to its death.
+def scan(f: Polynomial, n_max: int) -> list[Run]:
+    """D_f(n) for n = 1..n_max as runs, walking each m = D(n-1) to its death.
 
-    D_f(n) >= D_f(n-1), so m holds until f(n) repeats a residue mod m: one
-    lookup per surviving n, one search above m per death. Each search reads
-    f(1..n) in `_scramble`'s order, one list extended from death to death,
-    and the searches and walks share one stamp table. A repeated value
-    collides mod every m, so it is looked for only at a death; from there on
-    D(n) is undefined.
+    D_f(n) >= D_f(n-1), so m holds until it dies: one run per value, and one
+    search above m per death. A quadratic's death is T(m); on the value path
+    a walk reads each value once, and the searches and walks share one stamp
+    table. A repeated value collides mod every m, so from the death at the
+    first one on D(n) is undefined: a last run with value None.
 
     A search starts at m + 1, which is at least n since m = D(n-1) >= n-1.
     Every modulus below it is settled, as the module docstring's skip rules
     ask: below n by pigeonhole, below m since m was least for f(1..n-1), and
     m itself by its death.
-
-    The first exact repeat is found once, by one set pass (`_first_equal`);
-    a death at its index ends the scan.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values = f.values(n_max)
-    repeat_at = _first_equal(values)
-    order: list[int] = []  # f(1..n) scrambled, for the last search's n
-    results: list[DiscriminatorResult] = []
-    stamps: list[int] = []
-    m, start = 1, 0  # m accepted f(1..start); m = 1 discriminates the empty prefix
+    path = _path(f, n_max)
+    runs: list[Run] = []
+    n, found = 1, DiscriminatorResult(1, 0, 0)  # m = 1 discriminates the empty prefix
     while True:
-        death = _first_repeat(values, m, stamps, start)
-        results.extend(DiscriminatorResult(m, k, 0) for k in range(len(results) + 1, death + 1))
+        death = path.death(found.value, found.n)
+        runs.append(Run(n, death, found.value, found.candidates_tested))
         if death == n_max:
-            return results
+            return runs
         n = death + 1
-        if death == repeat_at:
-            return results + [DiscriminatorResult(None, k, 0) for k in range(n, n_max + 1)]
-        order = _scramble(values, order, n)
-        results.append(_least_modulus(order, m + 1, stamps, f, values))
-        m, start = results[-1].value, n
+        if death == path.repeat:
+            return runs + [Run(n, n_max, None, 0)]
+        found = _least_modulus(path, found.value + 1, n)

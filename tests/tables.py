@@ -55,3 +55,8 @@ POWER_FORMULA_SMALL_N = {
     4: [(1, 1, 3), (2, 2, 4), (4, 9, 11), (8, 18, 19)],
     6: [(1, 1, 3), (2, 2, 4)],
 }
+
+
+def per_n(runs):
+    """(n, D(n)) for every n that `scan`'s runs cover, in order."""
+    return [(n, run.value) for run in runs for n in range(run.n_low, run.n_high + 1)]

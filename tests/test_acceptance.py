@@ -27,6 +27,7 @@ from tables import (
     TABLE1_PUBLISHED,
     TABLE2,
     TABLE3,
+    per_n,
 )
 
 SEED = 20260824
@@ -80,9 +81,9 @@ def test_criterion_2_theorem2():
     start = time.perf_counter()
     bad = []
     for d in (2, 4, 8, 16):
-        for res in scan(x_dx_minus_1(d), 512):
-            if res.value != sun_power_formula(d, res.n):
-                bad.append((d, res.n, res.value))
+        for n, value in per_n(scan(x_dx_minus_1(d), 512)):
+            if value != sun_power_formula(d, n):
+                bad.append((d, n, value))
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -95,9 +96,9 @@ def test_criterion_2_theorem2():
 def test_criterion_3_theorem1():
     start = time.perf_counter()
     bad = [
-        (res.n, res.value)
-        for res in scan(x_dx_minus_1(3), 729)
-        if res.value != sun_power_formula(3, res.n)
+        (n, value)
+        for n, value in per_n(scan(x_dx_minus_1(3), 729))
+        if value != sun_power_formula(3, n)
     ]
     elapsed = time.perf_counter() - start
     report(
@@ -110,13 +111,12 @@ def test_criterion_3_theorem1():
 def test_criterion_4_lemma1_corollary1():
     violations = []
     for p, r in PR_MATRIX:
-        results = scan(x_dx_minus_1(p ** r), 300)
-        for res in results:
-            bound = lemma1_bound(p, r, res.n)
-            if res.value > bound:
-                violations.append((p, r, res.n, "bound"))
-            if res.n > 1 and _is_power_of(res.n, p) and res.value != res.n:
-                violations.append((p, r, res.n, "corollary"))
+        for n, value in per_n(scan(x_dx_minus_1(p ** r), 300)):
+            bound = lemma1_bound(p, r, n)
+            if value > bound:
+                violations.append((p, r, n, "bound"))
+            if n > 1 and _is_power_of(n, p) and value != n:
+                violations.append((p, r, n, "corollary"))
     report(
         4,
         not violations,
@@ -173,14 +173,13 @@ def test_criterion_7_prime_families():
     notes = []
     ok = True
     for name, family in FAMILIES.items():
-        results = scan(family.polynomial, 200)
-        for res in results:
-            formula = sun_prime_discriminator(family, res.n)
-            if res.n >= 5:
-                if formula != res.value:
+        for n, value in per_n(scan(family.polynomial, 200)):
+            formula = sun_prime_discriminator(family, n)
+            if n >= 5:
+                if formula != value:
                     ok = False
-            elif formula != res.value:
-                notes.append(f"{name} n={res.n} oracle={res.value} formula={formula}")
+            elif formula != value:
+                notes.append(f"{name} n={n} oracle={value} formula={formula}")
     for n in range(5, 201):
         p4 = sun_prime_discriminator(FAMILIES["4x4x1"], n)
         if not (3 * p4 > 8 * n - 4 and p4 < 8 * n):

@@ -108,10 +108,10 @@ class TestRunTable:
         assert table.rows[0][0] == 1
 
     def test_rejects_nonexistent(self):
-        from polydisc import DiscriminatorResult
+        from polydisc import Run
 
         with pytest.raises(ValueError):
-            run_length_table([DiscriminatorResult(None, 1, 0)])
+            run_length_table([Run(1, 1, None, 0)])
 
     def test_nonexistent_error_names_the_first_n(self):
         # f = 7: D(1) = 1, and from n = 2 on the values themselves collide

@@ -431,22 +431,27 @@ CLOSED_STDOUT_RUNS = [
 ]
 
 
-def run_with_closed_stdout(argv, unbuffered):
-    """Run the CLI in a child whose stdout is a pipe with no reader; -> (status, stderr)."""
+def run_child(argv, unbuffered, stdout):
+    """Run the CLI in a child that writes to `stdout`; -> (status, stderr)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.run(
+        [sys.executable, "-m", "polydisc.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    return child.returncode, child.stderr
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """Run the CLI in a child whose stdout is a pipe with no reader; -> (status, stderr)."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        child = subprocess.run(
-            [sys.executable, "-m", "polydisc.cli", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-        )
+        return run_child(argv, unbuffered, write_end)
     finally:
         os.close(write_end)
-    return child.returncode, child.stderr
 
 
 # buffered, a write to the closed pipe fails at the flush; unbuffered, at the first print
@@ -459,6 +464,19 @@ def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
 def test_help_to_a_closed_unbuffered_stdout_exits_0_silently():
     # argparse drops the error of its own write
     assert run_with_closed_stdout(("compute", "--help"), unbuffered=True) == (0, "")
+
+
+def test_help_to_a_closed_buffered_stdout_exits_1_without_a_traceback():
+    # argparse writes the help into the buffer and exits before the command's flush
+    assert run_with_closed_stdout(("scan", "--help"), unbuffered=False) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_exits_1_without_a_traceback(unbuffered):
+    with open("/dev/full", "w") as full:
+        status = run_child(("compute", "--poly", "x", "--n", "3"), unbuffered, full)
+    assert status == (1, "error: [Errno 28] No space left on device\n")
 
 
 def test_cli_import_leaves_out_dataclasses_and_its_imports():
@@ -506,6 +524,30 @@ def test_a_csv_table_run_proves_its_prime_once(capsys, monkeypatch, big_prime):
     status, out, err = run(capsys, "table", "--family", f"p={p},r=1", "--n-max", "20")
     assert (status, err) == (0, "") and out.startswith("n_low,n_high,value,class\n1,1,1,unit\n")
     assert proofs.count(p) == 1
+
+
+# `table --family p=<the least prime above 10^299>,r=1000 --n-max 200`, whose
+# values f(i) = i(p^1000 i - 1) have about 300,000 digits each
+HUGE_FAMILY_TABLE = "n_low,n_high,value,class\n" + "".join(f"{row}\n" for row in (
+    "1,1,1,unit", "2,2,3,prime", "3,3,5,prime", "4,4,8,prime_power_other", "5,6,11,prime",
+    "7,8,16,prime_power_other", "9,9,17,prime", "10,10,19,prime", "11,11,29,prime", "12,16,31,prime",
+    "17,21,41,prime", "22,31,61,prime", "32,37,73,prime", "38,45,97,prime", "46,51,101,prime",
+    "52,57,113,prime", "58,61,137,prime", "62,76,151,prime", "77,78,163,prime", "79,81,167,prime",
+    "82,82,173,prime", "83,96,227,prime", "97,126,251,prime", "127,129,257,prime", "130,136,271,prime",
+    "137,148,331,prime", "149,153,349,prime", "154,170,359,prime", "171,200,401,prime",
+))
+
+
+def test_a_huge_quadratic_table_reads_no_value(capsys, monkeypatch, big_prime):
+    # a quadratic's moduli are decided from its coefficients, reduced mod m
+    # once per candidate, so no value of f is ever computed
+    def refuse(*args):
+        raise AssertionError("the quadratic path computed a value of f")
+
+    monkeypatch.setattr(polydisc.Polynomial, "values", refuse)
+    monkeypatch.setattr(polydisc.Polynomial, "evaluate", refuse)
+    argv = ("table", "--family", f"p={big_prime},r=1000", "--n-max", "200")
+    assert run(capsys, *argv) == (0, HUGE_FAMILY_TABLE, "")
 
 
 def test_cli_does_no_mathematics():

@@ -23,7 +23,7 @@ from polydisc.closedform import (
     sample_sandwich_trials,
 )
 
-from tables import POWER_FORMULA_SMALL_N
+from tables import POWER_FORMULA_SMALL_N, per_n
 
 
 def x_power(j):
@@ -73,8 +73,8 @@ class TestSunPowerFormula:
 
     def test_agrees_with_oracle(self):
         for d in (2, 3, 4, 8, 16):
-            for res in scan(x_dx_minus_1(d), 200):
-                assert res.value == sun_power_formula(d, res.n), (d, res.n)
+            for n, value in per_n(scan(x_dx_minus_1(d), 200)):
+                assert value == sun_power_formula(d, n), (d, n)
 
 
 class TestLemma1:
@@ -89,8 +89,8 @@ class TestLemma1:
 
     def test_bounds_oracle(self):
         for p, r in ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 2), (7, 2), (29, 1)):
-            for res in scan(x_dx_minus_1(p ** r), 300):
-                assert res.value <= lemma1_bound(p, r, res.n), (p, r, res.n)
+            for n, value in per_n(scan(x_dx_minus_1(p ** r), 300)):
+                assert value <= lemma1_bound(p, r, n), (p, r, n)
 
     def test_corollary_equality_at_powers(self):
         for p, r in ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 2), (7, 2), (29, 1)):
@@ -161,17 +161,13 @@ class TestPrimeFamilies:
 
     def test_oracle_equivalence_from_5(self, capsys):
         for family in FAMILIES.values():
-            results = scan(family.polynomial, 200)
-            for res in results:
-                formula = sun_prime_discriminator(family, res.n)
-                if res.n >= 5:
-                    assert formula == res.value, (family.tag, res.n)
-                elif formula != res.value:
+            for n, value in per_n(scan(family.polynomial, 200)):
+                formula = sun_prime_discriminator(family, n)
+                if n >= 5:
+                    assert formula == value, (family.tag, n)
+                elif formula != value:
                     # small-n disagreements are recorded, not failed
-                    print(
-                        f"small-n disagreement {family.tag} n={res.n}: "
-                        f"oracle {res.value}, formula {formula}"
-                    )
+                    print(f"small-n disagreement {family.tag} n={n}: oracle {value}, formula {formula}")
 
     @pytest.mark.parametrize("tag", sorted(FAMILIES))
     @pytest.mark.parametrize("perturbed", [False, True])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polydisc import (
     DiscriminatorResult,
     Polynomial,
+    Run,
     analysis,
     check_theorem3,
     compute,
@@ -24,18 +26,36 @@ from polydisc import (
     x_dx_minus_1,
 )
 
+from tables import per_n
+
 
 def P(*coeffs):
     return Polynomial.from_coeffs(coeffs)
 
 
+def d_values(runs):
+    """D(1), D(2), ... from scan's runs."""
+    return [value for _, value in per_n(runs)]
+
+
+@contextmanager
+def value_path():
+    """While open, every search decides its moduli from f's values, a
+    quadratic's too, instead of by death-time arithmetic."""
+    with mock.patch.object(discriminator, "_path", discriminator._Values):
+        yield
+
+
 class TestResultRecord:
     def test_repr_and_frozen_fields(self):
+        # a quadratic is decided by arithmetic: no candidate is checked in full
         result = compute(P(0, -1, 29), 5)
-        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=1)"
-        assert result == DiscriminatorResult(15, 5, 1) and result.exists
+        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=0)"
+        assert result == DiscriminatorResult(15, 5, 0) and result.exists
         with pytest.raises(AttributeError):
             result.value = 16
+        run = scan(P(0, -1, 29), 5)[-1]
+        assert repr(run) == "Run(n_low=5, n_high=5, value=15, candidates_tested=0)"
 
 
 class TestIsDiscriminating:
@@ -229,44 +249,43 @@ class TestCompute:
                 assert result.value >= n
 
     def test_candidates_tested_counts_scan(self):
-        result = compute(x_dx_minus_1(29), 5)
         # the search runs from n = 5 to 15, and every difference of f(1..5) is
         # even (c = 2): 6 and 8 reduce to 3 and 4, below n; 10 and 14 to 5 and
-        # 7, odd and already rejected. f is quadratic, so 5, 7, 9, 11, 12 and
-        # 13 each divide 29 s - 1 for some s = l + k <= 2n - 1 and are
-        # rejected by the pair (k, l): 5 by (1, 3), 13 by (4, 5). Only 15 is
-        # checked in full.
-        assert result.candidates_tested == 1
+        # 7, odd and already rejected. On the value path 5, 7, 9, 11, 12, 13
+        # and 15 are checked in full; f is quadratic, so compute decides them
+        # by their death times and checks none
+        f = x_dx_minus_1(29)
+        assert compute(f, 5) == DiscriminatorResult(15, 5, 0)
+        with recorded_checks() as checked, value_path():
+            assert compute(f, 5) == DiscriminatorResult(15, 5, 7)
+        assert checked == [5, 7, 9, 11, 12, 13, 15]
 
 
 class TestScan:
     def test_table3_prefix(self):
-        values = [r.value for r in scan(x_dx_minus_1(29), 10)]
-        assert values == [1, 3, 7, 7, 15, 19, 19, 19, 19, 19]
+        assert scan(x_dx_minus_1(29), 10) == [
+            Run(1, 1, 1, 0), Run(2, 2, 3, 0), Run(3, 4, 7, 0), Run(5, 5, 15, 0), Run(6, 10, 19, 0)
+        ]
 
     def test_identity_polynomial(self):
-        assert [r.value for r in scan(P(0, 1), 5)] == [1, 2, 3, 4, 5]
+        assert d_values(scan(P(0, 1), 5)) == [1, 2, 3, 4, 5]
 
     def test_power_of_two_family(self):
-        assert [r.value for r in scan(x_dx_minus_1(4), 8)] == [1, 2, 4, 4, 8, 8, 8, 8]
+        assert d_values(scan(x_dx_minus_1(4), 8)) == [1, 2, 4, 4, 8, 8, 8, 8]
 
     def test_monotone(self):
         for d in (5, 12, 29):
-            values = [r.value for r in scan(x_dx_minus_1(d), 200)]
-            assert all(a <= b for a, b in zip(values, values[1:]))
+            runs = scan(x_dx_minus_1(d), 200)
+            assert all(a.n_high + 1 == b.n_low and a.value < b.value for a, b in zip(runs, runs[1:]))
 
     def test_equals_independent_compute(self):
         f = x_dx_minus_1(29)
-        results = scan(f, 100)
-        for res in results:
-            # warm starts change candidates_tested, never the value
-            assert res.value == compute(f, res.n).value
+        for n, value in per_n(scan(f, 100)):
+            assert value == compute(f, n).value
 
     def test_nonexistent_tail(self):
         # f = x(x-3) collides at n = 2 and stays collided
-        results = scan(P(0, -3, 1), 4)
-        assert results[0].value == 1
-        assert all(r.value is None for r in results[1:])
+        assert scan(P(0, -3, 1), 4) == [Run(1, 1, 1, 0), Run(2, 4, None, 0)]
 
     @pytest.mark.parametrize(
         "f, repeat_n",
@@ -276,7 +295,7 @@ class TestScan:
     def test_repeat_after_several_deaths(self, f, repeat_n):
         # f(29) = f(31) for x(x - 60), f(3) = f(20) for the cubic: the first
         # exact repeat ends the scan only at the death at its index
-        values = [r.value for r in scan(f, 40)]
+        values = d_values(scan(f, 40))
         assert values == [naive_discriminator(f, n) for n in range(1, 41)]
         assert values.index(None) == repeat_n - 1 and len(set(values[: repeat_n - 1])) >= 8
         assert discriminator._first_equal(f.values(40)) == repeat_n - 1
@@ -315,7 +334,7 @@ class TestScanCarriesSurvivors:
     @pytest.mark.parametrize("d", range(2, 61))
     def test_equals_cold_compute_through_deaths(self, d):
         f = x_dx_minus_1(d)
-        assert [r.value for r in scan(f, 300)] == [compute(f, n).value for n in range(1, 301)]
+        assert d_values(scan(f, 300)) == [compute(f, n).value for n in range(1, 301)]
 
 
 class TestScrambledOrder:
@@ -352,10 +371,9 @@ class TestScrambledOrder:
         assert order == discriminator._scramble(self.VALUES, [], 300)
 
     def test_rejected_checks_stop_early(self, monkeypatch):
-        # values each check reads before it exits: 67,094 here, 51,950 of
-        # them by the 53 accepting checks; read in natural order, the same
-        # 421 checks read 89,113. Before quadratic candidates were rejected
-        # by a constructed pair, 4,521 checks read 243,539.
+        # values each check of the value path reads before it exits: 242,575
+        # here, 51,950 of them by the 53 accepting checks; read in natural
+        # order, the same 4,521 checks read 994,053
         reads = []
 
         def counted(values, m, stamps=None):
@@ -370,9 +388,10 @@ class TestScrambledOrder:
             return is_discriminating(values, m, stamps)
 
         monkeypatch.setattr(discriminator, "is_discriminating", counted)
-        results = scan(x_dx_minus_1(29), 3000)
-        assert len(reads) == sum(r.candidates_tested for r in results) == 421
-        assert sum(reads) < 75_000
+        with value_path():
+            runs = scan(x_dx_minus_1(29), 3000)
+        assert len(reads) == sum(r.candidates_tested for r in runs) == 4521
+        assert sum(reads) < 250_000
 
 
 # Every value drawn for the table contract: repeats, negatives, values beyond
@@ -448,11 +467,12 @@ class TestStampTable:
         # f(66) collide mod 211 (65 + 66 = 131 = 1/29 mod 211); the searches
         # after that run on the flat table
         f, n_max = lcm_family(200, [0, -1, 29]), 120
-        results = scan(f, n_max)
-        searched = [r for r in results if r.candidates_tested]
-        assert searched[0].value > flat_table_bound(range(searched[0].n))
-        assert any(r.value <= flat_table_bound(range(r.n)) for r in searched[1:])
-        assert [r.value for r in results] == [compute(f, n).value for n in range(1, n_max + 1)]
+        with value_path():
+            runs = scan(f, n_max)
+        searched = runs[1:]
+        assert searched[0].value > flat_table_bound(range(searched[0].n_low))
+        assert any(r.value <= flat_table_bound(range(r.n_low)) for r in searched[1:])
+        assert d_values(runs) == [compute(f, n).value for n in range(1, n_max + 1)]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(20, 200), st.lists(st.integers(-9, 9), min_size=2, max_size=4), st.integers(2, 80))
@@ -463,7 +483,8 @@ class TestStampTable:
     @example(200, [0, 0, 0, 1], 40)
     def test_scan_equals_cold_compute_across_the_bound(self, k, coeffs, n_max):
         f = lcm_family(k, coeffs)
-        assert [r.value for r in scan(f, n_max)] == [compute(f, n).value for n in range(1, n_max + 1)]
+        with value_path():
+            assert d_values(scan(f, n_max)) == [compute(f, n).value for n in range(1, n_max + 1)]
 
     @pytest.mark.parametrize(
         "run",
@@ -493,7 +514,8 @@ class TestStampTable:
 
         monkeypatch.setattr(discriminator, "is_discriminating", checked)
         monkeypatch.setattr(analysis, "is_discriminating", checked)
-        run()
+        with value_path():  # x(29x-1) and its lcm multiple are quadratics
+            run()
         assert tables
 
     def test_a_search_far_above_the_bound_allocates_for_n_not_m(self):
@@ -564,16 +586,20 @@ def recorded_checks():
 
 
 def assert_checks(values, lower, result, checked, quadratic):
-    """`result` came from checking the moduli `checked` of one search from
-    `lower`: it counts them, they lie in [lower, value] and end at the value,
-    and every modulus skipped between them fails the all-pairs oracle. When
-    `values` have no common difference c > 1 and their polynomial is not
-    `quadratic`, so that no skip applies, none is skipped."""
+    """`result`, a compute result or a scan run, came from checking the
+    moduli `checked` of one search from `lower`: it counts them, they lie in
+    [lower, value] and end at the value, and every modulus skipped between
+    them fails the all-pairs oracle. A `quadratic` is decided by arithmetic
+    and checks none. When `values` have no common difference c > 1, so that
+    no skip applies, none is skipped."""
     assert result.candidates_tested == len(checked)
+    if quadratic:
+        assert checked == []
+        return
     assert all(lower <= m <= result.value for m in checked) and checked[-1] == result.value
     skipped = set(range(lower, result.value)).difference(checked)
     assert not any(all_pairs_distinct(values, m) for m in skipped)
-    if not quadratic and math.gcd(*(v - values[0] for v in values)) <= 1:
+    if math.gcd(*(v - values[0] for v in values)) <= 1:
         assert result.candidates_tested == result.value - lower + 1
 
 
@@ -582,27 +608,25 @@ def assert_searches_agree(f, n_max):
     n <= n_max, and every modulus they skip fails it."""
     quadratic = f.degree == 2
     with recorded_checks() as scanned:
-        results = scan(f, n_max)
-    prev = 1
-    for n in range(1, n_max + 1):
-        values = f.values(n)
+        runs = scan(f, n_max)
+    for n, value in per_n(runs):
         expected = naive_discriminator(f, n)
         with recorded_checks() as cold_checked:
             cold = compute(f, n)
-        warm = results[n - 1]
-        assert warm.value == cold.value == expected
+        assert value == cold.value == expected
         if expected is None:
-            assert warm.candidates_tested == cold.candidates_tested == 0
-            continue
-        assert_checks(values, n, cold, cold_checked, quadratic)
-        if expected == prev:
-            # a surviving D(n-1) is confirmed by one lookup
-            assert warm.candidates_tested == 0
+            assert cold.candidates_tested == 0
         else:
-            # a new value is searched for above it; a scan's moduli only increase
-            first = max(prev + 1, n)
-            assert_checks(values, first, warm, [m for m in scanned if first <= m <= expected], quadratic)
-        prev = expected
+            assert_checks(f.values(n), n, cold, cold_checked, quadratic)
+    assert runs[0] == Run(1, runs[0].n_high, 1, 0)
+    for prev, run in zip(runs, runs[1:]):
+        if run.value is None:
+            assert run.candidates_tested == 0
+        else:
+            # one search above the value that died; a scan's moduli only increase
+            first = prev.value + 1
+            checked = [m for m in scanned if first <= m <= run.value]
+            assert_checks(f.values(run.n_low), first, run, checked, quadratic)
 
 
 class TestSearchDifferential:
@@ -632,81 +656,95 @@ class TestSearchDifferential:
         assert sum(r.candidates_tested for r in results) == 12672
 
 
-@contextmanager
-def recorded_pairs():
-    """(a, b, m, n, pair) for each discriminator._quadratic_pair call while open."""
-    calls = []
-    helper = discriminator._quadratic_pair
-
-    def recorded(a, b, m, n):
-        pair = helper(a, b, m, n)
-        calls.append((a, b, m, n, pair))
-        return pair
-
-    with mock.patch.object(discriminator, "_quadratic_pair", recorded):
-        yield calls
+def death_time(f, m):
+    """The least l at which f(1..l) collide mod m, by reading residues."""
+    seen = set()
+    for l in count(1):
+        r = f.evaluate(l) % m
+        if r in seen:
+            return l
+        seen.add(r)
 
 
 NONZERO = st.integers(-60, 60).filter(bool)
+HUGE = st.integers(-10 ** 30, 10 ** 30)
 
 
-class TestQuadraticPair:
-    """A quadratic's candidates are rejected by a constructed pair (k, l),
-    f(l) - f(k) = (l - k)(a(l + k) + b), before any residue is read."""
+class TestDeathTime:
+    """A quadratic's moduli are decided by their death times T(m), computed
+    from a, b and the divisors of m, before any value is read."""
 
     @settings(max_examples=400, deadline=None)
     @given(
-        NONZERO,
-        st.integers(-60, 60),
-        st.one_of(st.integers(1, 300), st.integers(10 ** 6, 10 ** 30)),
-        st.integers(1, 80),
+        st.one_of(NONZERO, HUGE.filter(bool)),
+        st.one_of(st.integers(-60, 60), HUGE),
+        st.integers(1, 400),
+        st.integers(0, 80),
     )
-    @example(29, -1, 5, 5)  # x(29x-1): s = 4, the pair (1, 3)
-    @example(-29, 1, 13, 5)  # negative a: s = 9, the pair (4, 5)
-    @example(6, 3, 9, 10)  # h = gcd(6, 9) = 3 divides b: s = 1 (mod 3), so 4
-    @example(6, 1, 4, 10)  # h = 2 does not divide b: no s at all
-    @example(1, -40, 41, 20)  # x(x-40): s = 40 = 2n, just out of range
-    @example(3, 0, 1, 2)  # m = 1 divides everything: s = 3, the pair (1, 2)
-    @example(2, 0, 5, 1)  # n = 1: no pair in 1..n
-    def test_names_the_least_pair(self, a, b, m, n):
-        sums = [s for s in range(3, 2 * n) if (a * s + b) % m == 0]
-        pair = discriminator._quadratic_pair(a, b, m, n)
-        if not sums:
-            assert pair is None
-            return
-        k, l = pair
-        assert 1 <= k < l <= n and k + l == sums[0] and l - k in (1, 2)
+    @example(29, -1, 5, 5)  # x(29x-1): f(1) = f(3) mod 5, by u = 1
+    @example(-29, 1, 13, 5)  # negative a: f(4) = f(5) mod 13
+    @example(6, 3, 9, 10)  # h = gcd(6, 9) = 3 divides b
+    @example(6, 1, 4, 10)  # gcd(6, 4) = 2 never divides b: only u = 4 = m, the pigeonhole l = 5
+    @example(1, -40, 41, 20)  # x(x-40): s = 40, the pair (19, 21)
+    @example(3, 0, 1, 0)  # m = 1 divides everything: T = 2
+    @example(1, -3, 7, 0)  # x(x-3): f(1) = f(2), an exact repeat
+    @example(29, -1, 841, 0)  # 29^2: no s at u = 1; u = 841, the part built from a's primes, gives 842
+    @example(1, -1, 2 ** 7 * 3 ** 2 * 5, 0)  # x(x-1) at a smooth m: every divisor is tried
+    def test_equals_the_first_repeated_residue(self, a, b, m, n):
+        # T(m) when it exceeds n, else some l <= n at which f(1..l) collide
         f = P(7, b, a)
-        assert (f.evaluate(l) - f.evaluate(k)) % m == 0
+        expected = death_time(f, m)
+        got = discriminator._death_time(a, b, m, n)
+        if expected > n:
+            assert got == expected
+        else:
+            assert expected <= got <= n
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(-30, 30).filter(bool),
-        st.integers(-30, 30),
+        st.one_of(st.integers(-30, 30), HUGE).filter(bool),
+        # b, or the s >= 3 with a s + b = 0, where f(1..n) repeat exactly
+        st.one_of(st.integers(-30, 30), HUGE, st.integers(3, 30).map(lambda s: ("s", s))),
         st.integers(-30, 30),
         st.integers(1, 6),
         st.integers(1, 14),
     )
     @example(-29, 1, 0, 1, 14)  # -x(29x-1): negative a
     @example(29, -1, 0, 1, 14)  # x(29x-1): negative b
-    @example(6, 3, 0, 1, 14)  # gcd(6, m) = 3 divides b = 3, and c = 3
+    @example(6, 3, 0, 1, 14)  # gcd(a, b) = 3, and c = 3
     @example(6, 1, 0, 1, 14)  # gcd(6, m) = 2 never divides b = 1
-    @example(1, 1, 1, 30, 12)  # 30(x^2+x+1): c = 60, both skips
+    @example(1, 1, 1, 30, 12)  # 30(x^2+x+1): c = 60
     @example(29, -1, 0, 2, 14)  # 2x(29x-1): c = 4
     @example(1, -40, 0, 1, 40)  # x(x-40): survivors, then f(19) = f(21)
-    def test_searches_agree_and_every_pair_collides(self, a, b, e, k, n_max):
+    @example(2, -14, 0, 1, 14)  # 2x^2 - 14x: 2s - 14 = 0 at s = 7, so f(3) = f(4)
+    @example(-3, 24, 5, 3, 14)  # -9x^2 + 72x + 15: s = 8, so f(3) = f(5)
+    @example(10 ** 30, -(10 ** 30) * 9, 1, 1, 8)  # s = 9 with 31-digit coefficients
+    @example(10 ** 30 + 1, 1, 0, 1, 8)  # 31-digit a, no exact repeat
+    def test_searches_agree_with_the_value_path_and_all_pairs(self, a, b, e, k, n_max):
+        if isinstance(b, tuple):
+            b = -a * b[1]
         f = P(e, b, a).scale(k)
-        with recorded_pairs() as pairs:
-            assert_searches_agree(f, n_max)
-        for pa, pb, m, n, pair in pairs:
-            assert (pa, pb) == (k * a, k * b)
-            if pair is not None:
-                lo, hi = pair
-                assert 1 <= lo < hi <= n and (f.evaluate(hi) - f.evaluate(lo)) % m == 0
+        assert_searches_agree(f, n_max)
+        with value_path():
+            runs = scan(f, n_max)
+            cold = [compute(f, n).value for n in range(1, n_max + 1)]
+        assert [run[:3] for run in scan(f, n_max)] == [run[:3] for run in runs]
+        assert [compute(f, n).value for n in range(1, n_max + 1)] == cold
 
-    def test_other_degrees_never_build_a_pair(self):
-        with recorded_pairs() as pairs:
+    def test_quadratics_read_no_value_and_check_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a quadratic search read a value")
+
+        for name in ("_scramble", "_first_repeat", "_first_equal", "is_discriminating"):
+            monkeypatch.setattr(discriminator, name, refuse)
+        monkeypatch.setattr(Polynomial, "evaluate", refuse)
+        monkeypatch.setattr(Polynomial, "values", refuse)
+        assert d_values(scan(x_dx_minus_1(29), 40)) == d_values(scan(P(5, -1, 29), 40))
+        assert compute(P(0, 24, -3), 5) == DiscriminatorResult(None, 5, 0)  # f(3) = f(5)
+
+    def test_other_degrees_never_take_a_death_time(self):
+        with mock.patch.object(discriminator, "_death_time", side_effect=AssertionError) as death:
             scan(parse_polynomial("(x^2+x+41)^4"), 60)
             scan(P(0, 1), 30)
             compute(P(0, 3, 0, 1), 20)
-        assert pairs == []
+        assert not death.called
