@@ -29,7 +29,10 @@ class ValueClass(NamedTuple):
 
 
 def classify_value(value: int, p: int) -> ValueClass:
-    """Exactly one of: unit, prime, p^k (k>=2), q^k (q != p, k>=2), other composite."""
+    """Exactly one of: unit, prime, p^k (k>=2), q^k (q != p, k>=2), other composite.
+
+    The value is factored, so it must be below ntheory.FACTOR_LIMIT.
+    """
     if not ntheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _classify(value, p)
@@ -87,10 +90,15 @@ def csv_prime(f: Polynomial, table: RunTable) -> int:
     Only a row q^k with k >= 2 reads the prime, and q <= B = isqrt(value).
     Dividing out every q <= B leaves 1 exactly when P <= B; otherwise P is no
     row's base, and the least prime above B labels every row as P would. The
-    work is bounded by the table's values, not by the coefficient's size.
+    work is bounded by the table's values, not by the coefficient's size: a
+    value must be below ntheory.FACTOR_LIMIT, as emit_csv's classes require,
+    so B < 10^6.
     """
+    top = max(value for _, _, value in table.rows)
+    if top >= ntheory.FACTOR_LIMIT:
+        raise ValueError(f"csv_prime requires every value < {ntheory.FACTOR_LIMIT:,}")
     lead = abs(f.coeffs[-1]) if f.coeffs else 1
-    bound = math.isqrt(max(value for _, _, value in table.rows))
+    bound = math.isqrt(top)
     largest = 2
     for q in range(2, bound + 1):
         while lead % q == 0:
@@ -99,7 +107,10 @@ def csv_prime(f: Polynomial, table: RunTable) -> int:
 
 
 def emit_csv(table: RunTable, p: int) -> str:
-    """CSV `n_low,n_high,value,class` with the class column keyed to prime p."""
+    """CSV `n_low,n_high,value,class` with the class column keyed to prime p.
+
+    Each value is classified, so it must be below ntheory.FACTOR_LIMIT.
+    """
     if not ntheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
     lines = ["n_low,n_high,value,class"]

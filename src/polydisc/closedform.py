@@ -60,7 +60,8 @@ def bsw_discriminator(j: int, n: int) -> int:
 
     Odd j: least squarefree k >= n with gcd(phi(k), j) = 1.
     Even j: least k >= 2n of the form q or 2q (q prime) with gcd(phi(k), j) = 2.
-    The even branch admits k = 4 = 2*2 literally.
+    The even branch admits k = 4 = 2*2 literally. Each k is factored, so a k
+    at or above ntheory.FACTOR_LIMIT raises ValueError.
     """
     if j < 1 or n < 1:
         raise ValueError("j and n must be >= 1")

@@ -272,23 +272,30 @@ class _Values:
 
 class _Quadratic:
     """The arithmetic path for f = a x^2 + b x + e: no value of f is read and
-    no candidate is checked in full, so `tested` stays 0."""
+    no candidate is checked in full, so `tested` stays 0. `last` holds the
+    death time the last test computed, exact when it accepted, so the
+    accepted modulus's death is not computed again; it starts at T(1) = 2,
+    for scan's carried start m = 1."""
 
     tested = 0
 
     def __init__(self, f: Polynomial, n_max: int):
         _, b, a = f.coeffs
         s = -b // a
-        self.a, self.b, self.n_max = a, b, n_max
+        self.a, self.b, self.n_max, self.last = a, b, n_max, 2
         self.repeat = min(s // 2, n_max) if a * s + b == 0 and s >= 3 else n_max
         self.c = gcd(3 * a + b, 2 * a)
 
     def at(self, n: int):
-        a, b = self.a, self.b
-        return lambda m: _death_time(a, b, m, n) > n
+        def alive(m: int) -> bool:
+            self.last = _death_time(self.a, self.b, m, n)
+            return self.last > n
+
+        return alive
 
     def death(self, m: int, start: int) -> int:
-        return min(_death_time(self.a, self.b, m, 0) - 1, self.n_max)
+        """The death of m, which must be 1 or the modulus the last test accepted."""
+        return min(self.last - 1, self.n_max)
 
 
 def _path(f: Polynomial, n_max: int):

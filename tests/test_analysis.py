@@ -15,7 +15,7 @@ from polydisc import (
     scan,
     x_dx_minus_1,
 )
-from polydisc.ntheory import factorize, is_prime, next_prime_satisfying
+from polydisc.ntheory import FACTOR_LIMIT, factorize, is_prime, next_prime_satisfying
 
 from tables import POWER_FORMULA_SMALL_N
 
@@ -25,7 +25,11 @@ class TestInputChecks:
         (analysis.verify_theorem, (6,), "unknown theorem 6"),
         (emit_csv, (run_length_table([5]), 4), "4 is not prime"),
         (classify_value, (0, 3), "value must be >= 1"),
-    ], ids=["verify_theorem", "emit_csv", "classify_value"])
+        (classify_value, (FACTOR_LIMIT, 2), "factorize requires 1 <= n < 1,000,000,000,000"),
+        (emit_csv, (run_length_table([5, FACTOR_LIMIT]), 2), "factorize requires 1 <= n < 1,000,000,000,000"),
+        (analysis.csv_prime, (x_dx_minus_1(3), run_length_table([5, FACTOR_LIMIT])),
+         "csv_prime requires every value < 1,000,000,000,000"),
+    ], ids=["verify_theorem", "emit_csv", "classify_value", "classify_value-limit", "emit_csv-limit", "csv_prime-limit"])
     def test_refuses(self, call, args, message):
         with pytest.raises(ValueError) as exc:
             call(*args)
@@ -144,16 +148,16 @@ class TestCsvPrime:
         rng = random.Random(5)
         primes = [q for q in range(2, 60) if is_prime(q)] + [1009, 10 ** 9 + 7]
         for _ in range(300):
-            lead = rng.choice((1, -1))
+            lead, full = rng.choice((1, -1)), 2  # full: the largest prime in lead, 2 for +-1
             for _ in range(rng.randint(0, 4)):
-                lead *= rng.choice(primes) ** rng.randint(1, 3)
+                q = rng.choice(primes)
+                lead, full = lead * q ** rng.randint(1, 3), max(full, q)
             values = sorted(
                 rng.choice(primes[:8]) ** rng.randint(1, 6) if rng.random() < 0.6 else rng.randint(1, 5000)
                 for _ in range(rng.randint(1, 12))
             )
             table = run_length_table(values)
             f = Polynomial.from_coeffs([0, -1, lead])
-            full = factorize(abs(lead))[-1][0] if abs(lead) > 1 else 2
             assert emit_csv(table, analysis.csv_prime(f, table)) == emit_csv(table, full), (lead, values)
 
     def test_exact_when_a_row_has_the_prime_as_base(self):

@@ -250,8 +250,8 @@ TABLE_7_2 = (
     "18,18,41,prime\n19,49,49,power_of_p\n50,60,131,prime\n"
 )
 
-# 10000000000000000051 * 30000000000000000041: no trial division or rho walk
-# the labels need reaches either factor
+# 10000000000000000051 * 30000000000000000041: no trial division the labels
+# need reaches either factor
 TWO_20_DIGIT_PRIMES = 10000000000000000051 * 30000000000000000041
 SCAN_CSV_20_DIGIT = (
     "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,3,5,prime\n"

@@ -53,7 +53,8 @@ class TestInputChecks:
         (bsw_discriminator, (0, 5), "j and n must be >= 1"),
         (lemma1_bound, (29, 0, 5), "r and n must be >= 1"),
         (sun_prime_discriminator, (FAMILIES["2xx1"], 0), "n must be >= 1"),
-    ], ids=["sun_power_formula", "bsw_discriminator", "lemma1_bound", "sun_prime_discriminator"])
+        (bsw_discriminator, (3, 10 ** 12), "factorize requires 1 <= n < 1,000,000,000,000"),
+    ], ids=["sun_power_formula", "bsw_discriminator", "lemma1_bound", "sun_prime_discriminator", "bsw_discriminator-limit"])
     def test_refuses(self, call, args, message):
         with pytest.raises(ValueError) as exc:
             call(*args)

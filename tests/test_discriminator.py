@@ -742,6 +742,14 @@ class TestDeathTime:
         assert d_values(scan(x_dx_minus_1(29), 40)) == d_values(scan(P(5, -1, 29), 40))
         assert compute(P(0, 24, -3), 5) == DiscriminatorResult(None, 5, 0)  # f(3) = f(5)
 
+    def test_a_scan_factors_each_modulus_once(self):
+        # the accepting test's death time is the walk's: no modulus is factored twice
+        with mock.patch.object(discriminator, "factorize", wraps=discriminator.factorize) as factorize:
+            runs = scan(x_dx_minus_1(29), 3000)
+        factored = [call.args[0] for call in factorize.call_args_list]
+        assert len(factored) == len(set(factored))
+        assert {run.value for run in runs} - {1} <= set(factored)
+
     def test_other_degrees_never_take_a_death_time(self):
         with mock.patch.object(discriminator, "_death_time", side_effect=AssertionError) as death:
             scan(parse_polynomial("(x^2+x+41)^4"), 60)

@@ -39,7 +39,6 @@ class TestIsPrime:
         assert n == p * q
         assert ntheory.is_prime(p) and ntheory.is_prime(q)
         assert not ntheory.is_prime(n)
-        assert ntheory.factorize(n) == [(p, 1), (q, 1)]
 
     @pytest.mark.parametrize("n,factor", [
         (2_047, 23),
@@ -107,13 +106,14 @@ class TestFactorize:
                 product *= p ** e
             assert product == n
 
-    def test_rho_path_semiprime(self):
-        p, q = 1_000_003, 1_000_033
-        assert ntheory.factorize(p * q) == [(p, 1), (q, 1)]
-
-    def test_rho_gives_up_on_a_prime(self):
-        with pytest.raises(ValueError):
-            ntheory._pollard_rho(1_000_003)
+    @pytest.mark.parametrize("n,factors", [
+        (999_983 ** 2, [(999_983, 2)]),  # a loop on d * d < n would call it prime
+        (999_979 * 999_983, [(999_979, 1), (999_983, 1)]),
+        (999_999_999_989, [(999_999_999_989, 1)]),  # the largest prime below the bound
+        (ntheory.FACTOR_LIMIT - 1, [(3, 3), (7, 1), (11, 1), (13, 1), (37, 1), (101, 1), (9_901, 1)]),
+    ], ids=["square", "semiprime", "prime", "limit-1"])
+    def test_near_the_bound(self, n, factors):
+        assert ntheory.factorize(n) == factors
 
 
 class TestInputChecks:
@@ -121,7 +121,9 @@ class TestInputChecks:
         (ntheory.euler_phi, (0,), "euler_phi requires n >= 1"),
         (ntheory.ceil_log, (1, 5), "ceil_log requires base >= 2"),
         (ntheory.next_prime_satisfying, (1, 0, 0), "modulus must be >= 1"),
-    ], ids=["euler_phi", "ceil_log", "next_prime_satisfying"])
+        (ntheory.factorize, (ntheory.FACTOR_LIMIT,), "factorize requires 1 <= n < 1,000,000,000,000"),
+        (ntheory.euler_phi, (ntheory.FACTOR_LIMIT,), "factorize requires 1 <= n < 1,000,000,000,000"),
+    ], ids=["euler_phi", "ceil_log", "next_prime_satisfying", "factorize-limit", "euler_phi-limit"])
     def test_refuses(self, call, args, message):
         with pytest.raises(ValueError) as exc:
             call(*args)
