@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, NamedTuple, Optional
 
 from . import ntheory
@@ -67,7 +67,8 @@ def bsw_discriminator(j: int, n: int) -> int:
         raise ValueError("j and n must be >= 1")
     if j % 2 == 1:
         for k in itertools.count(n):
-            if all(e == 1 for _, e in ntheory.factorize(k)) and gcd(ntheory.euler_phi(k), j) == 1:
+            factors = ntheory.factorize(k)  # squarefree k: phi(k) = prod(p - 1)
+            if all(e == 1 for _, e in factors) and gcd(prod(p - 1 for p, _ in factors), j) == 1:
                 return k
     for k in itertools.count(2 * n):
         if ntheory.is_prime(k) or (k % 2 == 0 and ntheory.is_prime(k // 2)):

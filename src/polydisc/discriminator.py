@@ -14,8 +14,17 @@ l, so T(m) is the least l = k + d over the divisors u of m, d in {u, 2u}
 and k >= 1 with m / u | 2a k + a d + b (`_pair_time`); u = m gives the
 pigeonhole bound T(m) <= m + 1. `_death_time` tries u = 1, then the part of
 m built from a's primes, then every divisor below the least l found so far,
-and a rejection stops at the first l <= n. The values collide exactly when
-a s + b = 0 for an integer s >= 3, from n = s // 2 + 1 on.
+the small ones by trial division before it factors m, and a rejection stops
+at the first l <= n. The values collide exactly when a s + b = 0 for an
+integer s >= 3, from n = s // 2 + 1 on.
+
+Most candidates die at u = 1, where l = s // 2 + 1 for the least s >= 3
+with m | a s + b. Once m > 3a + b >= 1 (with a > 0, negating f if need be),
+that s has a s + b = j m for some j in [1, a], and whether a | j m - b
+depends on m only through m mod a. So one table of a cofactors
+(`_cofactors`) gives the least s of every such m, and a scan's searches
+drop the moduli it shows dead without calling `_death_time`
+(`_Quadratic.candidates`).
 
 Any other f is decided by its values: each search computes f(1..n) once and
 checks candidate moduli m by reducing those integers mod m, read in one
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from itertools import count, repeat
+from itertools import compress, count, cycle, repeat
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -112,6 +121,22 @@ FLAT_TABLE_FACTOR = 64
 # interpreter the scrambled order of values[:n] depends on n alone, and
 # nothing is kept between calls.
 _SCRAMBLE_SEED = 0x5EED
+
+# A quadratic's u = 1 sieve (`_cofactors`) keeps one cofactor per residue mod
+# a, so it serves only a <= _SIEVE_MAX_A, and each search copies the table
+# once. Scans of six quadratics with a from 1,024 to 4,096, to n = 10^5 and,
+# for four of them, to n = 28,700 (about the least n_max that builds the table
+# at a = 4,096), took 0.28 to 0.86 of their time with the sieve off (CPython
+# 3.11, x86-64). Larger a was not measured.
+_SIEVE_MAX_A = 4096
+
+# `_death_time` tries the divisors u < _SMALL_U of m by trial division before
+# it factors m: in scan(x(29x-1), 3000), 172 of the 243 candidates that die
+# in the divisor stage die at u = 3, 4 or 5. In process, against factoring
+# first, that took 0.68 of the time of scan(x(29x-1), 3000), 0.64 at 10^6 and
+# 0.50 of scan(x(x-1), 20000) (CPython 3.11, x86-64); bounds from 16 to 64
+# timed within 10% of one another.
+_SMALL_U = 24
 
 
 def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]] = None) -> bool:
@@ -215,6 +240,26 @@ def _pair_time(a: int, b: int, m: int, u: int) -> int:
     return best
 
 
+def _cofactors(a: int, b: int) -> list[int]:
+    """J[r], for 0 <= r < a, is the least j >= 1 with a | j r - b, or 2a + 1,
+    above every such j, when there is none; a >= 1.
+
+    With h = gcd(a, r), a | j r - b exactly when h | b and j = (b/h)
+    (r/h)^-1 mod a/h. Let m > 3a + b >= 1. The s >= 3 with m | a s + b
+    repeat with a period dividing m, so the least is at most m + 2, and
+    0 < a s + b <= a m + 2a + b < (a + 1) m: a s + b = j m with 1 <= j <= a.
+    As s grows with j, and a | j m - b depends on m only through r = m mod
+    a, the least s is (J[m mod a] m - b) / a, and there is none when
+    J[m mod a] is 2a + 1."""
+    J = [2 * a + 1] * a
+    for r in range(a):
+        h = gcd(a, r)
+        if b % h == 0:
+            step = a // h
+            J[r] = (b // h * pow(r // h, -1, step) - 1) % step + 1
+    return J
+
+
 def _death_time(a: int, b: int, m: int, n: int) -> int:
     """T(m) for f = a x^2 + b x + e when T(m) > n, else some l <= n at which
     f(1..l) collide mod m, by the module docstring's stages. n = 0 gives T(m)."""
@@ -232,11 +277,16 @@ def _death_time(a: int, b: int, m: int, n: int) -> int:
         best = min(best, _pair_time(a, b, m, m // rest))
         if best <= n:
             return best
+    for u in range(2, min(_SMALL_U, best - 1)):  # l >= d + 1 >= u + 1
+        if m % u == 0:
+            best = min(best, _pair_time(a, b, m, u))
+            if best <= n:
+                return best
     divisors = [1]
     for p, e in factorize(m):
         divisors += [q * p ** i for q in divisors for i in range(1, e + 1)]
-    for u in sorted(divisors):
-        if u + 1 >= best:  # l >= d + 1 >= u + 1
+    for u in sorted(u for u in divisors if u >= _SMALL_U):
+        if u + 1 >= best:
             break
         best = min(best, _pair_time(a, b, m, u))
         if best <= n:
@@ -255,6 +305,11 @@ class _Values:
         self.order: list[int] = []
         self.stamps: list[int] = []
         self.tested = 0
+
+    @staticmethod
+    def candidates(lower: int, n: int):
+        """Every modulus from `lower` up."""
+        return count(lower)
 
     def at(self, n: int):
         """The test "m discriminates f(1..n)", counted in `tested`."""
@@ -275,7 +330,21 @@ class _Quadratic:
     no candidate is checked in full, so `tested` stays 0. `last` holds the
     death time the last test computed, exact when it accepted, so the
     accepted modulus's death is not computed again; it starts at T(1) = 2,
-    for scan's carried start m = 1."""
+    for scan's carried start m = 1.
+
+    The u = 1 sieve. With a and b negated when a < 0, let start = 3a + b + 1.
+    When start >= 2 and a <= _SIEVE_MAX_A, `_cofactors` gives every m >= start
+    its least s at u = 1, (J m - b) / a. A search at n from lower >= start
+    then drops, inside itertools, each m with J m <= a (2n - 1) + b, that is
+    s <= 2n - 1, which dies at u = 1 by n; `_death_time` decides the rest.
+    As m >= n and m > 3a + b, a (2n - 1) + b < (2a + 1) m, so J = 2a + 1,
+    for no s, keeps m. J costs about one u = 1 test per residue, so it is
+    built only when n_max >= start + 4a: a scan to n_max visits every
+    modulus up to D(n_max) >= n_max, at least 4a of them above start, while
+    a compute at a smaller n, such as Theorem 4's sandwich trials, ends
+    within a few dozen candidates. Every other search tests each candidate
+    from u = 1.
+    """
 
     tested = 0
 
@@ -285,6 +354,19 @@ class _Quadratic:
         self.a, self.b, self.n_max, self.last = a, b, n_max, 2
         self.repeat = min(s // 2, n_max) if a * s + b == 0 and s >= 3 else n_max
         self.c = gcd(3 * a + b, 2 * a)
+        self.pa, self.pb = (a, b) if a > 0 else (-a, -b)
+        self.start = 3 * self.pa + self.pb + 1
+        sieved = 2 <= self.start and self.pa <= _SIEVE_MAX_A and self.start + 4 * self.pa <= n_max
+        self.cofactors = _cofactors(self.pa, self.pb) if sieved else None
+
+    def candidates(self, lower: int, n: int):
+        """The moduli from `lower` up, less those the sieve shows dead by n."""
+        if self.cofactors is None or lower < self.start:
+            return count(lower)
+        r = lower % self.pa
+        J = cycle(self.cofactors[r:] + self.cofactors[:r])
+        bound = self.pa * (2 * n - 1) + self.pb
+        return compress(count(lower), map(bound.__lt__, map(operator.mul, J, count(lower))))
 
     def at(self, n: int):
         def alive(m: int) -> bool:
@@ -306,18 +388,20 @@ def _path(f: Polynomial, n_max: int):
 def _least_modulus(path, lower: int, n: int) -> DiscriminatorResult:
     """The least m >= lower alive at n, decided by `path`.
 
-    A candidate is skipped, unchecked and uncounted, by the module
-    docstring's common-difference rule. Every modulus below `lower` must be
-    settled, as it is when the search starts at n (pigeonhole) or just above
-    a modulus that has just died, in a scan. So `candidates_tested` counts
-    the path's full checks: is_discriminating calls on the value path.
+    The path lists the candidates, leaving out those it already knows dead
+    (a quadratic's u = 1 sieve). A candidate is skipped, unchecked and
+    uncounted, by the module docstring's common-difference rule. Every
+    modulus below `lower` must be settled, as it is when the search starts
+    at n (pigeonhole) or just above a modulus that has just died, in a scan.
+    So `candidates_tested` counts the path's full checks: is_discriminating
+    calls on the value path.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
     ends without a cap.
     """
     alive, c, tested = path.at(n), path.c, path.tested
-    for m in count(lower):
+    for m in path.candidates(lower, n):
         g = gcd(m, c)
         if g > 1:
             x = m // g

@@ -13,7 +13,7 @@ from polydisc import (
     sun_prime_discriminator,
     x_dx_minus_1,
 )
-from polydisc import closedform
+from polydisc import closedform, ntheory
 from polydisc.closedform import (
     EIGHTEEN_X_3XMINUS1,
     FAMILY_VALID_FROM,
@@ -120,6 +120,19 @@ class TestBSW:
                 formula = bsw_discriminator(j, n)
                 if oracle != formula:
                     assert (n, oracle, formula) in known, (j, n, oracle, formula)
+
+    def test_odd_branch_factors_each_k_once(self, monkeypatch):
+        # phi of a squarefree k comes from its one factorization
+        factored = []
+
+        def factorize(k):
+            factored.append(k)
+            return real(k)
+
+        real = ntheory.factorize
+        monkeypatch.setattr(ntheory, "factorize", factorize)
+        assert (bsw_discriminator(3, 100), bsw_discriminator(9, 1000)) == (101, 1002)
+        assert factored == [100, 101, 1000, 1001, 1002]
 
     def test_odd_radical_invariance(self):
         for n in range(1, 201):

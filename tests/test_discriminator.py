@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from itertools import count
+from itertools import count, takewhile
 from unittest import mock
 
 import pytest
@@ -690,6 +690,8 @@ class TestDeathTime:
     @example(1, -3, 7, 0)  # x(x-3): f(1) = f(2), an exact repeat
     @example(29, -1, 841, 0)  # 29^2: no s at u = 1; u = 841, the part built from a's primes, gives 842
     @example(1, -1, 2 ** 7 * 3 ** 2 * 5, 0)  # x(x-1) at a smooth m: every divisor is tried
+    @example(2, -1, 196, 0)  # u = 4, found by trial division, gives 39; the factored u = 28 gives 30
+    @example(2, -1, 196, 35)  # the same, as a rejection: 39 > 35 does not stop the test
     def test_equals_the_first_repeated_residue(self, a, b, m, n):
         # T(m) when it exceeds n, else some l <= n at which f(1..l) collide
         f = P(7, b, a)
@@ -756,3 +758,135 @@ class TestDeathTime:
             scan(P(0, 1), 30)
             compute(P(0, 3, 0, 1), 20)
         assert not death.called
+
+
+def least_s(a, b, m):
+    """The least s >= 3 with m | a s + b, or None, by trying one period."""
+    return next((s for s in range(3, m + 3) if (a * s + b) % m == 0), None)
+
+
+def sieve_applies(f, lower, n_max):
+    """Whether a search of f from `lower` within n <= n_max takes the u = 1
+    sieve: by the rule in `_Quadratic`, restated from a and b."""
+    _, b, a = f.coeffs
+    a, b = (a, b) if a > 0 else (-a, -b)
+    start = 3 * a + b + 1
+    return 2 <= start <= lower and a <= discriminator._SIEVE_MAX_A and start + 4 * a <= n_max
+
+
+class TestSieve:
+    """A quadratic's moduli m > 3a + b >= 1 get their least s at u = 1 from a
+    table of a cofactors, and a scan's searches drop, untested, those that
+    die at u = 1 by n."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-300, 300).filter(bool),
+        st.integers(-2000, 2000),
+        st.integers(1, 5000),
+        st.integers(1, 200),
+    )
+    @example(29, -1, 87, 50)  # x(29x-1) from start = 3a + b + 1 = 87
+    @example(6, 3, 10, 200)  # gcd(a, b) = 3: only the j with gcd(6, j) | 3
+    @example(6, 1, 5, 100)  # gcd(6, m) = 2 never divides 1: even m have no s
+    @example(1, -1, 3, 100)  # a = 1: j = 1, s = m - b for every m
+    @example(-7, 2, 20, 100)  # negative a: the table is built for 7x^2 - 2x
+    def test_cofactors_give_the_least_s(self, a, b, lo, width):
+        a, b = (a, b) if a > 0 else (-a, -b)
+        assume(3 * a + b >= 1)
+        J = discriminator._cofactors(a, b)
+        assert len(J) == a
+        for m in range(max(lo, 3 * a + b + 1), lo + width):
+            j = J[m % a]
+            if j == 2 * a + 1:
+                assert least_s(a, b, m) is None
+            else:
+                assert 1 <= j <= a and (j * m - b) % a == 0
+                assert (j * m - b) // a == least_s(a, b, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(-40, 40), HUGE).filter(bool),
+        st.one_of(st.integers(-300, 300), HUGE),
+        st.integers(1, 600),
+        st.integers(0, 600),
+        st.integers(1, 120),
+        st.integers(1, 2000),
+    )
+    @example(29, -1, 100, 10, 200, 3000)  # x(29x-1): sieved
+    @example(29, -1, 50, 10, 200, 3000)  # starts below start = 87: every candidate is tested
+    @example(29, -1, 100, 10, 200, 100)  # n_max < start + 4a: no table is built
+    @example(5000, -1, 20000, 100, 100, 10 ** 6)  # a above _SIEVE_MAX_A
+    @example(3, -9, 40, 0, 50, 1000)  # 3a + b = 0: f(1) = f(2), nothing sieved
+    @example(10 ** 30, 1, 100, 0, 50, 1000)  # 31-digit a
+    def test_a_search_drops_exactly_the_moduli_dead_at_u1(self, a, b, n, extra, width, n_max):
+        # the candidates below lower + width: when the sieve applies, every m
+        # but those with a least s <= 2n - 1; otherwise every m
+        f = P(0, b, a)
+        lower = n + extra  # a search starts at or above n
+        path = discriminator._Quadratic(f, max(n, n_max))
+        got = list(takewhile(lambda m: m < lower + width, path.candidates(lower, n)))
+        window = range(lower, lower + width)
+        if sieve_applies(f, lower, max(n, n_max)):
+            assert got == [m for m in window if (least_s(a, b, m) or 2 * n) > 2 * n - 1]
+        else:
+            assert got == list(window)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(-5, 5).filter(bool),
+        # b, or the s >= 3 with a s + b = 0, where f(1..n) repeat exactly
+        st.one_of(st.integers(-60, 60), HUGE, st.integers(3, 40).map(lambda s: ("s", s))),
+        st.integers(-30, 30),
+        st.integers(1, 3),
+        st.integers(20, 60),
+    )
+    @example(1, -1, 0, 1, 60)  # x(x-1): a = 1, every m > 2 has s = m + 1
+    @example(2, -1, 0, 1, 60)  # x(2x-1)
+    @example(4, -1, 0, 1, 60)  # x(4x-1): the primes family
+    @example(3, 3, 0, 2, 60)  # 6x^2 + 6x: gcd(a, b) = 6 and c = 12
+    @example(2, -6, 1, 1, 60)  # b = -3a: 3a + b = 0, f(1) = f(2)
+    @example(2, -9, 1, 1, 60)  # b < -3a: nothing sieved
+    @example(-3, 5, 7, 1, 60)  # negative a
+    @example(10 ** 30, -(10 ** 30) * 9, 1, 1, 30)  # s = 9 with 31-digit coefficients
+    def test_sieved_searches_agree_with_the_value_path_and_all_pairs(self, a, b, e, k, n_max):
+        if isinstance(b, tuple):
+            b = -a * b[1]
+        f = P(e, b, a).scale(k)
+        runs = scan(f, n_max)
+        cold = [compute(f, n).value for n in range(1, n_max + 1)]
+        with value_path():
+            assert [run[:3] for run in scan(f, n_max)] == [run[:3] for run in runs]
+            assert [compute(f, n).value for n in range(1, n_max + 1)] == cold
+        assert d_values(runs) == cold
+        assert cold[-1] == naive_discriminator(f, n_max)
+
+    def test_sieved_examples_take_the_sieve(self):
+        # the differential examples above that the rule sieves do sieve
+        for a, b, k in ((1, -1, 1), (2, -1, 1), (4, -1, 1), (3, 3, 2), (-3, 5, 1)):
+            path = discriminator._Quadratic(P(0, b, a).scale(k), 60)
+            assert path.cofactors is not None, (a, b, k)
+
+    def test_a_table_scan_tests_few_moduli(self):
+        # scan(x(29x-1), 3000) calls _death_time 4,521 times without the sieve;
+        # 421 of those moduli live past u = 1. The sieve leaves 470: the 53
+        # moduli below start = 87 and the 4 above it in the search that
+        # crosses 87, which are tested from u = 1, and 413 survivors above
+        with mock.patch.object(discriminator, "_death_time", wraps=discriminator._death_time) as death:
+            runs = scan(x_dx_minus_1(29), 3000)
+        moduli = [call.args[2] for call in death.call_args_list]
+        assert len(moduli) == 470 and sum(m < 87 for m in moduli) == 53
+        with mock.patch.object(discriminator, "_SIEVE_MAX_A", 0):
+            with mock.patch.object(discriminator, "_death_time", wraps=discriminator._death_time) as death:
+                assert scan(x_dx_minus_1(29), 3000) == runs
+        assert death.call_count == 4521
+
+    def test_a_long_scan_keeps_its_memory_small(self):
+        tracemalloc.start()
+        try:
+            scan(x_dx_minus_1(29), 10 ** 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
