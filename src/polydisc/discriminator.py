@@ -4,7 +4,10 @@ D_f(n) is the least positive m under which f(1), ..., f(n) are pairwise
 distinct mod m, or nonexistent when the values themselves collide. Write
 T(m), the death time of m, for the least l at which f(1..l) collide mod m:
 D_f(n) is the least m with T(m) > n. A search tries candidates m upward and
-asks whether m is alive at n, that is whether T(m) > n, in one of two ways.
+asks each one test, its death at n: T(m) - 1, the last n' at which f(1..n')
+are distinct mod m, when m is alive at n (T(m) > n), and some number below
+n otherwise. So the search that accepts m also hands scan the last n of
+m's run. A path answers the test in one of two ways.
 
 A quadratic f = a x^2 + b x + e is decided by arithmetic, reading no value
 of f. With d = l - k and s = l + k, f(l) - f(k) = d (a s + b), and for u =
@@ -51,10 +54,13 @@ x | c e <=> x | e as well and m fails exactly when x does. Either way a
 skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
 m | f(l) - f(k); in the second case it is x's own witness pair.
 
-A walk (`_first_repeat`) carries an accepting check at m on past its n
-values to the modulus's death. It goes on from the shared stamp table when
-m <= FLAT_TABLE_FACTOR * n, where the check left f(1..n) marked, and above
-that, where the check marked a dict of its own, walks a fresh dict from f(1).
+On the value path the test of m at n is a check of f(1..n), which answers
+0 when it rejects; when it accepts, a walk (`_first_repeat`) carries it on
+past its n values to the modulus's death, so each accepted modulus is
+walked once, by the search that accepts it. The walk goes on from the
+shared stamp table when m <= FLAT_TABLE_FACTOR * n, where the check left
+f(1..n) marked, and above that, where the check marked a dict of its own,
+walks a fresh dict from f(1).
 """
 
 from __future__ import annotations
@@ -173,8 +179,10 @@ def _first_repeat(values: Sequence[int], m: int, stamps: list[int], start: int) 
     """Index of the first value whose residue mod m repeats an earlier one,
     looked for from values[start] on, or len(values). When start > 0, an
     accepting check `is_discriminating(values[:start], m, stamps)`, in any
-    order, must come first. The walk picks its table as the module docstring
-    says and marks each new residue m."""
+    order, must come first; its two callers, `_Values.at` and
+    `analysis.check_theorem3`, each make that check just before the walk.
+    The walk picks its table as the module docstring says and marks each new
+    residue m."""
     table = stamps
     if m > FLAT_TABLE_FACTOR * start:
         table, start = defaultdict(int), 0
@@ -296,7 +304,9 @@ def _death_time(a: int, b: int, m: int, n: int) -> int:
 
 class _Values:
     """The value path: f(1..n_max) exactly, their scrambled prefix for the
-    last search, and the stamp table that searches and walks share."""
+    last search, and the stamp table that searches and walks share. A test
+    at n returns 0 for a rejected m and, for an accepted one, the index of
+    the first repeat mod m, len(values) = n_max when there is none."""
 
     def __init__(self, f: Polynomial, n_max: int):
         self.values = f.values(n_max)
@@ -312,25 +322,24 @@ class _Values:
         return count(lower)
 
     def at(self, n: int):
-        """The test "m discriminates f(1..n)", counted in `tested`."""
-        order, stamps = _scramble(self.values, self.order, n), self.stamps
+        """The death of m at n: a check of the scrambled f(1..n), counted in
+        `tested`, then, when it accepts, the walk on to the first repeat."""
+        values, stamps = self.values, self.stamps
+        order = _scramble(values, self.order, n)
 
-        def alive(m: int) -> bool:
+        def death(m: int) -> int:
             self.tested += 1
-            return is_discriminating(order, m, stamps)
+            return _first_repeat(values, m, stamps, n) if is_discriminating(order, m, stamps) else 0
 
-        return alive
-
-    def death(self, m: int, start: int) -> int:
-        return _first_repeat(self.values, m, self.stamps, start)
+        return death
 
 
 class _Quadratic:
     """The arithmetic path for f = a x^2 + b x + e: no value of f is read and
-    no candidate is checked in full, so `tested` stays 0. `last` holds the
-    death time the last test computed, exact when it accepted, so the
-    accepted modulus's death is not computed again; it starts at T(1) = 2,
-    for scan's carried start m = 1.
+    no candidate is checked in full, so `tested` stays 0. A test at n returns
+    `_death_time` less 1: T(m) - 1, not capped at n_max, when T(m) > n, as
+    the accepting test takes the exact minimum over the divisors of m. So
+    the death needs no second computation, and no modulus is factored twice.
 
     The u = 1 sieve. With a and b negated when a < 0, let start = 3a + b + 1.
     When start >= 2 and a <= _SIEVE_MAX_A, `_cofactors` gives every m >= start
@@ -351,7 +360,7 @@ class _Quadratic:
     def __init__(self, f: Polynomial, n_max: int):
         _, b, a = f.coeffs
         s = -b // a
-        self.a, self.b, self.n_max, self.last = a, b, n_max, 2
+        self.a, self.b = a, b
         self.repeat = min(s // 2, n_max) if a * s + b == 0 and s >= 3 else n_max
         self.c = gcd(3 * a + b, 2 * a)
         self.pa, self.pb = (a, b) if a > 0 else (-a, -b)
@@ -369,15 +378,8 @@ class _Quadratic:
         return compress(count(lower), map(bound.__lt__, map(operator.mul, J, count(lower))))
 
     def at(self, n: int):
-        def alive(m: int) -> bool:
-            self.last = _death_time(self.a, self.b, m, n)
-            return self.last > n
-
-        return alive
-
-    def death(self, m: int, start: int) -> int:
-        """The death of m, which must be 1 or the modulus the last test accepted."""
-        return min(self.last - 1, self.n_max)
+        """The death of m at n, T(m) - 1 when T(m) > n, by `_death_time`."""
+        return lambda m: _death_time(self.a, self.b, m, n) - 1
 
 
 def _path(f: Polynomial, n_max: int):
@@ -385,30 +387,32 @@ def _path(f: Polynomial, n_max: int):
     return (_Quadratic if f.degree == 2 else _Values)(f, n_max)
 
 
-def _least_modulus(path, lower: int, n: int) -> DiscriminatorResult:
-    """The least m >= lower alive at n, decided by `path`.
+def _least_modulus(path, lower: int, n: int) -> tuple[int, int, int]:
+    """(m, death, tested): the least m >= lower alive at n, decided by
+    `path`, its death (T(m) - 1, capped at n_max on the value path alone)
+    and the candidates the search checked in full.
 
     The path lists the candidates, leaving out those it already knows dead
     (a quadratic's u = 1 sieve). A candidate is skipped, unchecked and
     uncounted, by the module docstring's common-difference rule. Every
     modulus below `lower` must be settled, as it is when the search starts
     at n (pigeonhole) or just above a modulus that has just died, in a scan.
-    So `candidates_tested` counts the path's full checks: is_discriminating
-    calls on the value path.
+    So `tested` counts the path's full checks: is_discriminating calls on
+    the value path.
 
     Two distinct values differ by some d with 0 < |d| <= max - min, and no m
     above that spread divides d, so every such m discriminates and the count
     ends without a cap.
     """
-    alive, c, tested = path.at(n), path.c, path.tested
+    death_of, c, tested = path.at(n), path.c, path.tested
     for m in path.candidates(lower, n):
         g = gcd(m, c)
         if g > 1:
             x = m // g
             if x < n or gcd(x, c) == 1:
                 continue
-        if alive(m):
-            return DiscriminatorResult(m, n, path.tested - tested)
+        if (death := death_of(m)) >= n:
+            return m, death, path.tested - tested
 
 
 def compute(f: Polynomial, n: int) -> DiscriminatorResult:
@@ -423,17 +427,21 @@ def compute(f: Polynomial, n: int) -> DiscriminatorResult:
     path = _path(f, n)
     if path.repeat < n:
         return DiscriminatorResult(None, n, 0)
-    return _least_modulus(path, n, n)
+    m, _, tested = _least_modulus(path, n, n)
+    return DiscriminatorResult(m, n, tested)
 
 
 def scan(f: Polynomial, n_max: int) -> list[Run]:
     """D_f(n) for n = 1..n_max as runs, walking each m = D(n-1) to its death.
 
     D_f(n) >= D_f(n-1), so m holds until it dies: one run per value, and one
-    search above m per death. A quadratic's death is T(m); on the value path
-    a walk reads each value once, and the searches and walks share one stamp
-    table. A repeated value collides mod every m, so from the death at the
-    first one on D(n) is undefined: a last run with value None.
+    search above m per death. The search that accepts m returns its death,
+    the last n of its run, capped here at n_max; the first run is m = 1,
+    under which only f(1) is distinct. A quadratic's death is T(m) - 1; on
+    the value path a walk reads each value once, and the searches and walks
+    share one stamp table. A repeated value collides mod every m, so from
+    the death at the first one on D(n) is undefined: a last run with value
+    None.
 
     A search starts at m + 1, which is at least n since m = D(n-1) >= n-1.
     Every modulus below it is settled, as the module docstring's skip rules
@@ -444,13 +452,12 @@ def scan(f: Polynomial, n_max: int) -> list[Run]:
         raise ValueError("n_max must be >= 1")
     path = _path(f, n_max)
     runs: list[Run] = []
-    n, found = 1, DiscriminatorResult(1, 0, 0)  # m = 1 discriminates the empty prefix
+    n, m, death, tested = 1, 1, 1, 0  # mod 1 only f(1) is distinct
     while True:
-        death = path.death(found.value, found.n)
-        runs.append(Run(n, death, found.value, found.candidates_tested))
-        if death == n_max:
+        runs.append(Run(n, min(death, n_max), m, tested))
+        if death >= n_max:
             return runs
         n = death + 1
         if death == path.repeat:
             return runs + [Run(n, n_max, None, 0)]
-        found = _least_modulus(path, found.value + 1, n)
+        m, death, tested = _least_modulus(path, m + 1, n)

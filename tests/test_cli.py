@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import os
 import subprocess
@@ -402,6 +403,17 @@ def test_pinned_scan_out(capsys, tmp_path):
     argv = ("scan", "--poly", "x*(29*x-1)", "--n-max", "12")
     assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
     assert out_file.read_bytes().decode() == SCAN_CSV
+
+
+def test_pinned_value_path_scan(capsys):
+    # x^5 is not quadratic, so each of its 850 searches checks f(1..n) and
+    # walks the accepted modulus on to its death
+    status, out, err = run(capsys, "scan", "--poly", "x^5", "--n-max", "2000")
+    assert (status, err) == (0, "")
+    assert len(out.splitlines()) == 851 and out.splitlines()[-1] == "2000,2000,2001,composite_other"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ede171b822a514de315595592006fba151e8974d7bdceec3d411d88b9283a347"
+    )
 
 
 @pytest.mark.parametrize("command", [

@@ -760,6 +760,46 @@ class TestDeathTime:
         assert not death.called
 
 
+class TestPathTest:
+    """A path's test of m at n returns m's death: T(m) - 1, the last n' at
+    which f(1..n') are distinct mod m, when T(m) > n, and a number below n
+    otherwise. The value path caps the death at n_max, the values it holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=5),
+        st.integers(1, 14),
+        st.integers(1, 14),
+        # m, or ("above", k) for m = 64 n + 1 + k, where a check marks a dict
+        st.one_of(st.integers(1, 60), st.integers(0, 80).map(lambda k: ("above", k))),
+    )
+    @example([], 3, 3, 5)  # zero polynomial: T(m) = 2
+    @example([4], 3, 2, 1)  # constant
+    @example([0, -3, 1], 6, 1, 7)  # x(x-3): f(1) = f(2)
+    @example([0, -40, 1], 40, 18, 41)  # x(x-40): alive at 18, f(19) = f(21)
+    @example([0, -1, 29], 1, 1, 1)  # n_max = 1
+    @example([0, 0, 0, 0, 0, 1], 1, 1, 3)  # n_max = 1 on the value path
+    @example([0, -1, 29], 12, 3, ("above", 0))  # m = 193, above 64 n
+    @example([0, 0, 0, 1], 14, 2, ("above", 82))  # m = 211: 14^3 = 1 + 13 * 211
+    def test_returns_the_death(self, coeffs, n_max, n, m):
+        f, n = P(*coeffs), min(n, n_max)
+        if isinstance(m, tuple):
+            m = 64 * n + 1 + m[1]
+        expected = death_time(f, m) - 1
+        paths = [discriminator._path(f, n_max)]
+        if f.degree == 2:
+            with value_path():
+                paths.append(discriminator._path(f, n_max))
+        for path in paths:  # fresh paths: no stamp table has seen m
+            got = path.at(n)(m)
+            if expected < n:
+                assert got < n
+            elif isinstance(path, discriminator._Values):
+                assert got == min(expected, n_max)
+            else:
+                assert got == expected
+
+
 def least_s(a, b, m):
     """The least s >= 3 with m | a s + b, or None, by trying one period."""
     return next((s for s in range(3, m + 3) if (a * s + b) % m == 0), None)
