@@ -183,15 +183,17 @@ def check_theorem3(n_max: int) -> list[tuple[int, int]]:
     as m rises, and then walked on to its death. The prefix is read in the
     searches' fixed scrambled order (`discriminator._scramble`), so a
     rejected m stops after a few values. The ascending moduli share one
-    stamp table with the walks (`discriminator._first_repeat`).
+    stamp table with the walks (`discriminator._first_repeat`), sized once
+    for the largest m: every m <= 2.4n lies below the flat-table bound
+    FLAT_TABLE_FACTOR * n, so no modulus needs a dict.
     """
     if n_max < 15:
         raise ValueError("check_theorem3 requires n_max >= 15")
     values = Polynomial.from_coeffs([0, -1, 1]).values(n_max)
     violations: list[tuple[int, int]] = []
     prefix: list[int] = []  # values[:n] scrambled
-    stamps: list[int] = []
-    for m in range(1, 24 * n_max // 10 + 1):
+    stamps = [0] * (24 * n_max // 10 + 1)
+    for m in range(1, len(stamps)):
         if ntheory.is_prime(m) or m & (m - 1) == 0:
             continue
         n = max(15, -(-10 * m // 24))

@@ -54,13 +54,13 @@ x | c e <=> x | e as well and m fails exactly when x does. Either way a
 skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
 m | f(l) - f(k); in the second case it is x's own witness pair.
 
-On the value path the test of m at n is a check of f(1..n), which answers
-0 when it rejects; when it accepts, a walk (`_first_repeat`) carries it on
-past its n values to the modulus's death, so each accepted modulus is
-walked once, by the search that accepts it. The walk goes on from the
-shared stamp table when m <= FLAT_TABLE_FACTOR * n, where the check left
-f(1..n) marked, and above that, where the check marked a dict of its own,
-walks a fresh dict from f(1).
+On the value path the test of m at n picks m's residue table once: the
+search's shared stamp list when m <= FLAT_TABLE_FACTOR * n, a fresh dict
+above that. A check of f(1..n) marks it and answers 0 when it rejects;
+when it accepts, a walk (`_first_repeat`) carries on in the same table,
+where the check left f(1..n) marked, from f(n + 1) to the modulus's death.
+So each accepted modulus is walked once, by the search that accepts it,
+and no value is read twice.
 """
 
 from __future__ import annotations
@@ -97,22 +97,22 @@ class Run(NamedTuple):
     candidates_tested: int
 
 
-# A search's check at m marks the residues it has seen in a table of m slots
-# while m <= FLAT_TABLE_FACTOR * len(values), and in a dict above that, so its
-# memory grows with len(values), not with m; indexing a slot is cheaper than
-# hashing an int. A standalone check, which has no table to share, marks a
-# dict at any m: an early exit allocates next to nothing, and a full walk
+# The value path's test of m at n (`_Values.at`), the one place that picks a
+# residue table, marks the search's shared list, grown to m slots, while
+# m <= FLAT_TABLE_FACTOR * n, and a fresh dict above that, so its memory grows
+# with n, not with m; indexing a slot is cheaper than hashing an int. A dict
 # takes 62 to 77 bytes per value for 256 to 10,000 values on CPython 3.11
-# (dict entries plus the int objects).
-# A search shares one stamp table across its candidates instead of allocating
-# one for each: a list whose slot r holds the last modulus that saw residue
-# r. A check marks r with m and rejects on a slot equal to m. A table must
-# never see the same m twice; its moduli only increase, so a stale stamp never
-# equals the current m and nothing is cleared between checks. A list, since a
-# stamp is a whole modulus and CPython 3.11 specialises list[int] loads and
-# stores, not byte-array ones. A slot is an 8-byte pointer, at most 512 bytes
-# per value, plus one int object per modulus that still owns a slot.
-# Only the checks and `_first_repeat`, which walks on from one, touch a slot.
+# (dict entries plus the int objects), and a check that exits early
+# allocates next to nothing. The list is a stamp table, shared across a
+# search's candidates instead of allocated for each: slot r holds the last
+# modulus that saw residue r. A check marks r with m and rejects on a slot
+# equal to m. A table must never see the same m twice; its moduli only
+# increase, so a stale stamp never equals the current m and nothing is
+# cleared between checks. A list, since a stamp is a whole modulus and
+# CPython 3.11 specialises list[int] loads and stores, not byte-array ones. A
+# slot is an 8-byte pointer, at most 512 bytes per value, plus one int object
+# per modulus that still owns a slot. Only the checks and `_first_repeat`,
+# which walks on from one, touch a slot.
 FLAT_TABLE_FACTOR = 64
 
 # Every search reads f(1..n) in one fixed scrambled order. For x(dx - 1),
@@ -145,28 +145,23 @@ _SIEVE_MAX_A = 4096
 _SMALL_U = 24
 
 
-def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]] = None) -> bool:
+def is_discriminating(values: Sequence[int], m: int, stamps: list[int] | dict[int, int] | None = None) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
 
     Exits on the first repeated residue. The residues seen are marked m in
-    one of two tables: `stamps`, a search's shared table, grown to m slots
-    when shorter, when it is given and m <= FLAT_TABLE_FACTOR * len(values);
-    otherwise a fresh dict of at most len(values) entries, and `stamps` is
-    untouched. So memory grows with len(values), not with m. A shared table
-    must never see the same m twice: every m passed with it must exceed every
-    stamp already in it. A modulus that is not an integer raises TypeError on
-    any path. The order of `values` sets only where a rejection stops, never
-    the answer; the searches pass them in `_scramble`'s order.
+    `stamps`, a list of at least m slots or a dict, or in a fresh dict of at
+    most len(values) entries when `stamps` is None. A table is marked as
+    given, never grown or swapped; the value path's test picks it (see
+    FLAT_TABLE_FACTOR). A shared table must never see the same m twice:
+    every m passed with it must exceed every stamp already in it. A modulus
+    that is not an integer raises TypeError. The order of `values` sets only
+    where a rejection stops, never the answer; the searches pass them in
+    `_scramble`'s order.
     """
     m = operator.index(m)
     if not values or m < 1:
         raise ValueError("values must be nonempty and m must be >= 1")
-    if stamps is None or m > FLAT_TABLE_FACTOR * len(values):
-        table = defaultdict(int)
-    else:
-        table = stamps
-        if len(stamps) < m:
-            stamps.extend(repeat(0, m - len(stamps)))
+    table = defaultdict(int) if stamps is None else stamps
     for v in values:
         r = v % m
         if table[r] == m:
@@ -175,17 +170,13 @@ def is_discriminating(values: Sequence[int], m: int, stamps: Optional[list[int]]
     return True
 
 
-def _first_repeat(values: Sequence[int], m: int, stamps: list[int], start: int) -> int:
+def _first_repeat(values: Sequence[int], m: int, table: list[int] | dict[int, int], start: int) -> int:
     """Index of the first value whose residue mod m repeats an earlier one,
-    looked for from values[start] on, or len(values). When start > 0, an
-    accepting check `is_discriminating(values[:start], m, stamps)`, in any
-    order, must come first; its two callers, `_Values.at` and
+    looked for from values[start] on, or len(values). An accepting check
+    `is_discriminating(values[:start], m, table)`, in any order, must come
+    first, on the same table; its two callers, `_Values.at` and
     `analysis.check_theorem3`, each make that check just before the walk.
-    The walk picks its table as the module docstring says and marks each new
-    residue m."""
-    table = stamps
-    if m > FLAT_TABLE_FACTOR * start:
-        table, start = defaultdict(int), 0
+    The walk marks each new residue m in that table."""
     for i in range(start, len(values)):
         r = values[i] % m
         if table[r] == m:
@@ -323,13 +314,20 @@ class _Values:
 
     def at(self, n: int):
         """The death of m at n: a check of the scrambled f(1..n), counted in
-        `tested`, then, when it accepts, the walk on to the first repeat."""
-        values, stamps = self.values, self.stamps
+        `tested`, then, when it accepts, the walk on to the first repeat, both
+        on the table that FLAT_TABLE_FACTOR picks for m."""
+        values, stamps, flat = self.values, self.stamps, FLAT_TABLE_FACTOR * n
         order = _scramble(values, self.order, n)
 
         def death(m: int) -> int:
             self.tested += 1
-            return _first_repeat(values, m, stamps, n) if is_discriminating(order, m, stamps) else 0
+            if m > flat:
+                table = defaultdict(int)
+            else:
+                table = stamps
+                if len(stamps) < m:
+                    stamps.extend(repeat(0, m - len(stamps)))
+            return _first_repeat(values, m, table, n) if is_discriminating(order, m, table) else 0
 
         return death
 
@@ -341,40 +339,43 @@ class _Quadratic:
     the accepting test takes the exact minimum over the divisors of m. So
     the death needs no second computation, and no modulus is factored twice.
 
-    The u = 1 sieve. With a and b negated when a < 0, let start = 3a + b + 1.
-    When start >= 2 and a <= _SIEVE_MAX_A, `_cofactors` gives every m >= start
-    its least s at u = 1, (J m - b) / a. A search at n from lower >= start
-    then drops, inside itertools, each m with J m <= a (2n - 1) + b, that is
-    s <= 2n - 1, which dies at u = 1 by n; `_death_time` decides the rest.
-    As m >= n and m > 3a + b, a (2n - 1) + b < (2a + 1) m, so J = 2a + 1,
-    for no s, keeps m. J costs about one u = 1 test per residue, so it is
-    built only when n_max >= start + 4a: a scan to n_max visits every
-    modulus up to D(n_max) >= n_max, at least 4a of them above start, while
-    a compute at a smaller n, such as Theorem 4's sandwich trials, ends
-    within a few dozen candidates. Every other search tests each candidate
-    from u = 1.
+    The path keeps a > 0, negating a and b when a < 0, since -f has the same
+    collisions mod every m.
+
+    The u = 1 sieve. Let start = 3a + b + 1. When start >= 2 and a <=
+    _SIEVE_MAX_A, `_cofactors` gives every m >= start its least s at u = 1,
+    (J m - b) / a. A search at n from lower >= start then drops, inside
+    itertools, each m with J m <= a (2n - 1) + b, that is s <= 2n - 1,
+    which dies at u = 1 by n; `_death_time` decides the rest. As m >= n and
+    m > 3a + b, a (2n - 1) + b < (2a + 1) m, so J = 2a + 1, for no s, keeps
+    m. J costs about one u = 1 test per residue, so it is built only when
+    n_max >= start + 4a: a scan to n_max visits every modulus up to
+    D(n_max) >= n_max, at least 4a of them above start, while a compute at a
+    smaller n, such as Theorem 4's sandwich trials, ends within a few dozen
+    candidates. Every other search tests each candidate from u = 1.
     """
 
     tested = 0
 
     def __init__(self, f: Polynomial, n_max: int):
         _, b, a = f.coeffs
+        if a < 0:
+            a, b = -a, -b
         s = -b // a
         self.a, self.b = a, b
         self.repeat = min(s // 2, n_max) if a * s + b == 0 and s >= 3 else n_max
         self.c = gcd(3 * a + b, 2 * a)
-        self.pa, self.pb = (a, b) if a > 0 else (-a, -b)
-        self.start = 3 * self.pa + self.pb + 1
-        sieved = 2 <= self.start and self.pa <= _SIEVE_MAX_A and self.start + 4 * self.pa <= n_max
-        self.cofactors = _cofactors(self.pa, self.pb) if sieved else None
+        self.start = 3 * a + b + 1
+        sieved = 2 <= self.start and a <= _SIEVE_MAX_A and self.start + 4 * a <= n_max
+        self.cofactors = _cofactors(a, b) if sieved else None
 
     def candidates(self, lower: int, n: int):
         """The moduli from `lower` up, less those the sieve shows dead by n."""
         if self.cofactors is None or lower < self.start:
             return count(lower)
-        r = lower % self.pa
+        r = lower % self.a
         J = cycle(self.cofactors[r:] + self.cofactors[:r])
-        bound = self.pa * (2 * n - 1) + self.pb
+        bound = self.a * (2 * n - 1) + self.b
         return compress(count(lower), map(bound.__lt__, map(operator.mul, J, count(lower))))
 
     def at(self, n: int):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import count, takewhile
 from unittest import mock
@@ -106,14 +107,14 @@ BIG_REPEAT = [-BIG, 7, -BIG]
 
 
 def flat_table_bound(values):
-    """The largest m whose check, given a search's stamp list, marks residues
-    there rather than in a dict of its own."""
+    """The largest m whose test on the value path at n = len(values) marks the
+    search's stamp list rather than a dict of its own."""
     return discriminator.FLAT_TABLE_FACTOR * len(values)
 
 
 def with_modulus(values):
-    # small m, huge m, and m within 3 of the flat-table bound, where a check
-    # given a stamp list turns to a dict; a standalone check marks a dict on
+    # small m, huge m, and m within 3 of the flat-table bound, where the
+    # value path's test turns to a dict; a standalone check marks a dict on
     # both sides of it
     bound = flat_table_bound(values)
     moduli = st.one_of(st.integers(1, 60), st.integers(1, 10 ** 30), st.integers(bound - 3, bound + 3))
@@ -403,64 +404,86 @@ VALUE_LISTS = st.one_of(
 )
 
 
+class ReadLog(list):
+    """A list that records the index of every item read by subscript."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
 class TestStampTable:
     """A search's checks share one stamp table; they must agree with fresh checks."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_increasing_moduli_on_one_dirty_table(self, data):
+        step = data.draw(st.sampled_from([60, 10 ** 30]), label="step")
         checks, prev = [], 0
         for _ in range(data.draw(st.integers(1, 8), label="checks")):
-            values = data.draw(VALUE_LISTS, label="values")
-            bound = flat_table_bound(values)
-            m = data.draw(
-                st.one_of(
-                    st.integers(prev + 1, prev + 60),
-                    st.integers(max(prev + 1, bound - 3), max(prev + 1, bound + 3)),  # both sides of the bound
-                    st.integers(prev + 1, prev + 10 ** 30),
-                ),
-                label="m",
-            )
-            checks.append((values, m))
+            m = data.draw(st.integers(prev + 1, prev + step), label="m")
+            checks.append((data.draw(VALUE_LISTS, label="values"), m))
             prev = m
-        # stale stamps left by earlier, smaller moduli
-        stamps = data.draw(st.lists(st.integers(0, checks[0][1] - 1), max_size=200), label="stamps")
+        # stale stamps left by earlier, smaller moduli, in a dict and, when
+        # the moduli are small, in a list the caller sized for the largest
+        stale = data.draw(st.lists(st.integers(0, checks[0][1] - 1), max_size=200), label="stamps")
+        tables = [defaultdict(int, enumerate(stale))]
+        if step == 60:
+            tables.append(stale + [0] * (prev - len(stale)))
         for values, m in checks:
-            size = len(stamps)
             expected = all_pairs_distinct(values, m)
             assert is_discriminating(values, m) == expected
-            assert is_discriminating(values, m, stamps) == expected
-            # grown to m slots on the flat path only, never past the bound
-            assert len(stamps) == (max(size, m) if m <= flat_table_bound(values) else size)
+            for table in tables:
+                assert is_discriminating(values, m, table) == expected
+                if expected:
+                    assert all(table[v % m] == m for v in values)
+        if step == 60:
+            assert len(tables[1]) == max(prev, len(stale))  # never grown
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.one_of(
-            st.lists(st.integers(-3000, 3000), min_size=1, max_size=40),
-            st.lists(st.integers(-BIG, BIG), min_size=1, max_size=40),
-            st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
-        ),
-        st.integers(1, 40),
+        st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+        st.integers(1, 6),
+        st.integers(0, 40),
         st.booleans(),
-        st.lists(st.integers(0, 63), max_size=200),
     )
-    @example([0, 1, 128], 2, False, [])  # m = 128: 128 repeats 0 on the marked table
-    @example([0, 1, 129], 2, True, [])  # m = 129: 129 repeats 0, never marked in the table
-    @example([0, 1, 129], 2, True, [0] * 200)
-    def test_walk_picks_its_table_at_the_bound(self, values, start, above, stamps):
-        # the walk gets only the shared list, after an accepting check on the
-        # first `start` values at m = 64 start (flat) or 64 start + 1 (a dict)
-        start = min(start, len(values))
-        m = flat_table_bound(values[:start]) + above
-        assume(is_discriminating(values[start - 1::-1], m, stamps))  # the prefix in any order
-        before = list(stamps)
-        death = discriminator._first_repeat(values, m, stamps, start)
-        residues = [v % m for v in values]
-        assert death == next((i for i, r in enumerate(residues) if r in residues[:i]), len(values))
+    @example([0, 0, 0, 1], 2, 40, False)  # x^3 at n = 2: m = 128 accepts, f(12) = f(4) mod 128
+    @example([0, 0, 0, 1], 2, 40, True)  # m = 129 accepts, f(8) = f(5) mod 129
+    @example([0, 1], 3, 10, True)  # x: m = 193 accepts and no repeat follows
+    @example([5], 1, 5, True)  # a constant: m = 65 accepts f(1), and f(2) repeats it
+    def test_walk_picks_its_table_at_the_bound(self, coeffs, n, extra, above):
+        # the value path's test of m at n picks the shared stamp list at
+        # m = 64 n and a dict at 64 n + 1; its check and walk share that table
+        path = discriminator._Values(P(*coeffs), n + extra)
+        m = flat_table_bound(range(n)) + above
+        tables, first_repeat = [], discriminator._first_repeat
+
+        def check(values, m, table):
+            tables.append(table)
+            return is_discriminating(values, m, table)
+
+        def walk(values, m, table, start):
+            tables.append(table)
+            return first_repeat(values, m, table, start)
+
+        with mock.patch.object(discriminator, "is_discriminating", check), \
+                mock.patch.object(discriminator, "_first_repeat", walk):
+            death = path.at(n)(m)
+        residues = [v % m for v in path.values]
+        first = next((i for i, r in enumerate(residues) if r in residues[:i]), len(residues))
+        assert death == (first if first >= n else 0)
+        table = tables[0]
+        assert tables == [table] * (2 if death else 1)
         if above:
-            assert stamps == before  # the check and the walk each kept a dict of their own
+            assert isinstance(table, dict) and path.stamps == []
         else:
-            assert all(stamps[r] == m for r in residues[:death])
+            assert table is path.stamps and len(table) == m
+        if death:  # the check and the walk marked f(1..death) in that one table
+            assert all(table[r] == m for r in residues[:death])
 
     def test_scan_crosses_the_flat_table_bound(self):
         # D = 211 from n = 2, above 64n and kept in a dict, until f(65) and
@@ -507,8 +530,10 @@ class TestStampTable:
         def checked(values, m, stamps=None):
             if stamps is not None:
                 moduli = tables.setdefault(id(stamps), (stamps, []))[1]
-                # no stamp, from a check or from a caller's own lookups, equals m yet
-                assert all(m > seen for seen in moduli) and m not in stamps
+                # no stamp, from a check or from a caller's own lookups, equals m
+                # yet; a dict's stamps are its values, its keys are residues
+                marks = stamps.values() if isinstance(stamps, dict) else stamps
+                assert all(m > seen for seen in moduli) and m not in marks
                 moduli.append(m)
             return is_discriminating(values, m, stamps)
 
@@ -519,24 +544,36 @@ class TestStampTable:
         assert tables
 
     def test_a_search_far_above_the_bound_allocates_for_n_not_m(self):
-        # values 0 and lcm(1..10000): every m up to 10006 divides their
-        # difference, so of the 10,006 checks at m = 2..10007 on one shared
-        # list only the prime 10007, far above the bound 128, accepts
-        values = [0, math.lcm(*range(1, 10001))]
-        bound = flat_table_bound(values)
-        is_discriminating(values, 1, [])  # first-call allocations are not the checks'
-        stamps = []
+        # f(1) = 0 and f(2) = lcm(1..10000): every m up to 10006 divides their
+        # difference, so of the 10,006 tests at n = 2 of m = 2..10007 on one
+        # value path only the prime 10007, far above the bound 128, accepts
+        lcm = math.lcm(*range(1, 10001))
+        path = discriminator._Values(P(-lcm, lcm), 2)
+        death = path.at(2)
+        bound = flat_table_bound(range(2))
+        death(1)  # first-call allocations are not the tests'
         tracemalloc.start()
         try:
-            accepted = [m for m in range(2, 10008) if is_discriminating(values, m, stamps)]
+            accepted = [m for m in range(2, 10008) if death(m) >= 2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert accepted == [10007]
         # a list of at most 128 slots of 8 bytes, one dict of two residues and
         # the loop's ints, against 80 KB for a list grown to 10,007 slots
-        assert len(stamps) <= bound
+        assert len(path.stamps) <= bound
         assert peak < 8 * bound + 2048
+
+    def test_a_walk_above_the_bound_reads_only_the_values_after_n(self):
+        # D = 211 from n = 2, above 64 n = 128, until f(65) and f(66) collide
+        # mod 211: its walk goes on in the dict its check marked, so it reads
+        # f(3..66), values[2..65], and never f(1..2) again
+        path = discriminator._Values(lcm_family(200, [0, -1, 29]), 120)
+        path.values = ReadLog(path.values)
+        death = path.at(2)  # scrambles f(1..2) before the test reads a value
+        path.values.reads.clear()
+        assert death(211) == 65
+        assert path.values.reads == list(range(2, 66))
 
 
 class TestCommonDifference:
