@@ -2,7 +2,6 @@
 
 from .poly import Polynomial, PolynomialSyntaxError, parse_polynomial, parse_poly_input
 from .discriminator import (
-    DiscriminatorResult,
     Run,
     compute,
     is_discriminating,
@@ -23,8 +22,6 @@ from .closedform import (
 )
 from .analysis import (
     Kind,
-    RunTable,
-    ValueClass,
     check_conjecture1,
     check_theorem3,
     classify_value,
@@ -38,7 +35,6 @@ __all__ = [
     "PolynomialSyntaxError",
     "parse_polynomial",
     "parse_poly_input",
-    "DiscriminatorResult",
     "Run",
     "compute",
     "is_discriminating",
@@ -55,8 +51,6 @@ __all__ = [
     "sun_prime_discriminator",
     "x_dx_minus_1",
     "Kind",
-    "RunTable",
-    "ValueClass",
     "check_conjecture1",
     "check_theorem3",
     "classify_value",

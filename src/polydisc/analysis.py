@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import partial
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from . import ntheory
 from .closedform import bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
@@ -21,15 +21,9 @@ class Kind(enum.Enum):
     COMPOSITE_OTHER = "composite_other"
 
 
-class ValueClass(NamedTuple):
-    """Partition cell of a discriminator value relative to a family prime p."""
-
-    kind: Kind
-    detail: Optional[tuple[int, int]] = None  # (base, exponent) for prime powers
-
-
-def classify_value(value: int, p: int) -> ValueClass:
-    """Exactly one of: unit, prime, p^k (k>=2), q^k (q != p, k>=2), other composite.
+def classify_value(value: int, p: int) -> Kind:
+    """The value's cell relative to a family prime p, exactly one of: unit,
+    prime, p^k (k>=2), q^k (q != p, k>=2), other composite.
 
     The value is factored, so it must be below ntheory.FACTOR_LIMIT.
     """
@@ -38,63 +32,50 @@ def classify_value(value: int, p: int) -> ValueClass:
     return _classify(value, p)
 
 
-def _classify(value: int, p: int) -> ValueClass:
+def _classify(value: int, p: int) -> Kind:
     """classify_value for a p already proven prime: a table classifies all its
     rows against one p, and proving a 300-digit p takes longer than
     classifying a small value."""
     if value < 1:
         raise ValueError("value must be >= 1")
     if value == 1:
-        return ValueClass(Kind.UNIT)
+        return Kind.UNIT
     factors = ntheory.factorize(value)
     if len(factors) == 1:
         base, exp = factors[0]
         if exp == 1:
-            return ValueClass(Kind.PRIME)
+            return Kind.PRIME
         if base == p:
-            return ValueClass(Kind.POWER_OF_P, (base, exp))
-        return ValueClass(Kind.PRIME_POWER_OTHER, (base, exp))
-    return ValueClass(Kind.COMPOSITE_OTHER)
+            return Kind.POWER_OF_P
+        return Kind.PRIME_POWER_OTHER
+    return Kind.COMPOSITE_OTHER
 
 
-class RunTable(NamedTuple):
-    """Run-length encoding of D values over consecutive n starting at 1."""
-
-    rows: tuple[tuple[int, int, int], ...]  # (n_low, n_high, value)
-
-    def decode(self) -> list[int]:
-        out: list[int] = []
-        for n_low, n_high, value in self.rows:
-            out.extend([value] * (n_high - n_low + 1))
-        return out
-
-
-def run_length_table(results: Sequence[Union[Run, int]]) -> RunTable:
-    """The finite runs of D: `scan`'s runs, or D's values indexed by n = 1, 2, ..."""
-    rows: list[tuple[int, int, int]] = []
-    for n, item in enumerate(results, start=1):
-        n_low, n_high, v, _ = item if isinstance(item, Run) else (n, n, int(item), 0)
-        if v is None:
+def run_length_table(runs: Sequence[Run]) -> list[tuple[int, int, int]]:
+    """The (n_low, n_high, value) rows of `runs`, such as `scan`'s: one row
+    per run, as given. Every value must be finite; a run of value None
+    raises ValueError naming its n_low."""
+    rows = []
+    for n_low, n_high, value, _ in runs:
+        if value is None:
             raise ValueError(f"D is nonexistent at n={n_low}; run-length table undefined")
-        if rows and rows[-1][2] == v:
-            rows[-1] = (rows[-1][0], n_high, v)
-        else:
-            rows.append((n_low, n_high, v))
-    return RunTable(tuple(rows))
+        rows.append((n_low, n_high, value))
+    return rows
 
 
-def csv_prime(f: Polynomial, table: RunTable) -> int:
-    """The prime a CSV of f's `table` labels rows against: the largest prime
-    factor P of f's leading coefficient (2 when that is +-1).
+def csv_prime(f: Polynomial, rows: Sequence[tuple[int, int, int]]) -> int:
+    """The prime a CSV of f's (n_low, n_high, value) `rows` labels them
+    against: the largest prime factor P of f's leading coefficient (2 when
+    that is +-1).
 
     Only a row q^k with k >= 2 reads the prime, and q <= B = isqrt(value).
     Dividing out every q <= B leaves 1 exactly when P <= B; otherwise P is no
     row's base, and the least prime above B labels every row as P would. The
-    work is bounded by the table's values, not by the coefficient's size: a
+    work is bounded by the rows' values, not by the coefficient's size: a
     value must be below ntheory.FACTOR_LIMIT, as emit_csv's classes require,
     so B < 10^6.
     """
-    top = max(value for _, _, value in table.rows)
+    top = max(value for _, _, value in rows)
     if top >= ntheory.FACTOR_LIMIT:
         raise ValueError(f"csv_prime requires every value < {ntheory.FACTOR_LIMIT:,}")
     lead = abs(f.coeffs[-1]) if f.coeffs else 1
@@ -106,17 +87,17 @@ def csv_prime(f: Polynomial, table: RunTable) -> int:
     return largest if lead == 1 else ntheory.next_prime_satisfying(bound, 0, 1)
 
 
-def emit_csv(table: RunTable, p: int) -> str:
-    """CSV `n_low,n_high,value,class` with the class column keyed to prime p.
+def emit_csv(rows: Sequence[tuple[int, int, int]], p: int) -> str:
+    """CSV `n_low,n_high,value,class` of (n_low, n_high, value) `rows`, such
+    as `run_length_table`'s, with the class column keyed to prime p.
 
     Each value is classified, so it must be below ntheory.FACTOR_LIMIT.
     """
     if not ntheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
     lines = ["n_low,n_high,value,class"]
-    for n_low, n_high, value in table.rows:
-        cls = _classify(value, p)
-        lines.append(f"{n_low},{n_high},{value},{cls.kind.value}")
+    for n_low, n_high, value in rows:
+        lines.append(f"{n_low},{n_high},{value},{_classify(value, p).value}")
     return "\n".join(lines) + "\n"
 
 
@@ -124,9 +105,9 @@ def _cell(n_low: int, n_high: int) -> str:
     return str(n_low) if n_low == n_high else f"{n_low} - {n_high}"
 
 
-def emit_latex(table: RunTable, poly_text: str, n_max: int) -> str:
-    """LaTeX tabular in the two-column-pair `{| c | c | c | c |}` layout."""
-    rows = table.rows
+def emit_latex(rows: Sequence[tuple[int, int, int]], poly_text: str, n_max: int) -> str:
+    """LaTeX tabular of (n_low, n_high, value) `rows`, such as
+    `run_length_table`'s, in the two-column-pair `{| c | c | c | c |}` layout."""
     half = (len(rows) + 1) // 2
     lines = [
         "\\begin{table}[ht]",
@@ -150,10 +131,9 @@ def emit_latex(table: RunTable, poly_text: str, n_max: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_conjecture1(
-    p: int, r: int, n_max: int
-) -> list[tuple[int, int, ValueClass]]:
-    """Exceptions to "D is prime or p^ceil(log_p n)" for f = x(p^r x - 1).
+def check_conjecture1(p: int, r: int, n_max: int) -> list[tuple[int, int, Kind]]:
+    """Exceptions to "D is prime or p^ceil(log_p n)" for f = x(p^r x - 1), as
+    (n, D_f(n), its `classify_value` Kind) triples in order of n.
 
     The unit value 1 is always reported as an exception even though it equals
     p^0; the conjectured form is read as a genuine prime power. An empty tail
@@ -161,14 +141,14 @@ def check_conjecture1(
     `closedform.prime_power_family`, which proves p prime (once per call) and
     caps r before anything is scanned.
     """
-    exceptions: list[tuple[int, int, ValueClass]] = []
+    exceptions: list[tuple[int, int, Kind]] = []
     for n_low, n_high, v, _ in scan(prime_power_family(p, r), n_max):
         if ntheory.is_prime(v):
             continue
-        cls = _classify(v, p)
+        kind = _classify(v, p)
         # lemma1_bound(p, r, n), without proving p prime again
         exceptions += [
-            (n, v, cls) for n in range(n_low, n_high + 1) if v == 1 or v != p ** ntheory.ceil_log(p, n)
+            (n, v, kind) for n in range(n_low, n_high + 1) if v == 1 or v != p ** ntheory.ceil_log(p, n)
         ]
     return exceptions
 

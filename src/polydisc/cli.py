@@ -64,17 +64,17 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _cmd_compute(args) -> int:
     result = compute(_read_poly(args.poly), args.n)
-    print(f"D = {result.value}" if result.exists else "D = infinity")
+    print("D = infinity" if result.value is None else f"D = {result.value}")
     return 0
 
 
 def _table(f: Polynomial, args) -> int:
     """Print D_f's run-length table for n <= --n-max; a CSV labels rows by `analysis.csv_prime`."""
-    table = analysis.run_length_table(scan(f, args.n_max))
+    rows = analysis.run_length_table(scan(f, args.n_max))
     if args.format == "latex":
-        text = analysis.emit_latex(table, str(f), args.n_max)
+        text = analysis.emit_latex(rows, str(f), args.n_max)
     else:
-        text = analysis.emit_csv(table, analysis.csv_prime(f, table))
+        text = analysis.emit_csv(rows, analysis.csv_prime(f, rows))
     _emit(text, args.out)
     return 0
 
@@ -89,8 +89,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     p, r = _parse_family_spec(args.family)
-    for n, value, cls in analysis.check_conjecture1(p, r, args.n_max):
-        print(f"n={n} value={value} class={cls.kind.value}")
+    for n, value, kind in analysis.check_conjecture1(p, r, args.n_max):
+        print(f"n={n} value={value} class={kind.value}")
     return 0
 
 

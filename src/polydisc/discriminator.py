@@ -75,18 +75,6 @@ from .ntheory import factorize
 from .poly import Polynomial
 
 
-class DiscriminatorResult(NamedTuple):
-    """Minimal discriminating modulus (None = nonexistent) plus search stats."""
-
-    value: Optional[int]
-    n: int
-    candidates_tested: int  # is_discriminating calls; 0 for a quadratic, decided by arithmetic
-
-    @property
-    def exists(self) -> bool:
-        return self.value is not None
-
-
 class Run(NamedTuple):
     """D_f(n) = value for n_low <= n <= n_high (None = nonexistent), and the
     candidates that the search which found the value tested."""
@@ -94,7 +82,7 @@ class Run(NamedTuple):
     n_low: int
     n_high: int
     value: Optional[int]
-    candidates_tested: int
+    candidates_tested: int  # is_discriminating calls; 0 for a quadratic, decided by arithmetic
 
 
 # The value path's test of m at n (`_Values.at`), the one place that picks a
@@ -416,9 +404,10 @@ def _least_modulus(path, lower: int, n: int) -> tuple[int, int, int]:
             return m, death, path.tested - tested
 
 
-def compute(f: Polynomial, n: int) -> DiscriminatorResult:
-    """The least m that discriminates f(1..n), or value None when those values
-    collide.
+def compute(f: Polynomial, n: int) -> Run:
+    """D_f(n) as the one-n run Run(n, n, m, tested): the least m that
+    discriminates f(1..n) and the candidates its search tested, or
+    Run(n, n, None, 0) when those values collide.
 
     The search starts at n, below which no modulus discriminates
     (pigeonhole), and decides candidates by the module docstring's rules.
@@ -427,22 +416,23 @@ def compute(f: Polynomial, n: int) -> DiscriminatorResult:
         raise ValueError("n must be >= 1")
     path = _path(f, n)
     if path.repeat < n:
-        return DiscriminatorResult(None, n, 0)
+        return Run(n, n, None, 0)
     m, _, tested = _least_modulus(path, n, n)
-    return DiscriminatorResult(m, n, tested)
+    return Run(n, n, m, tested)
 
 
 def scan(f: Polynomial, n_max: int) -> list[Run]:
     """D_f(n) for n = 1..n_max as runs, walking each m = D(n-1) to its death.
 
-    D_f(n) >= D_f(n-1), so m holds until it dies: one run per value, and one
-    search above m per death. The search that accepts m returns its death,
-    the last n of its run, capped here at n_max; the first run is m = 1,
-    under which only f(1) is distinct. A quadratic's death is T(m) - 1; on
-    the value path a walk reads each value once, and the searches and walks
-    share one stamp table. A repeated value collides mod every m, so from
-    the death at the first one on D(n) is undefined: a last run with value
-    None.
+    D_f(n) >= D_f(n-1), so m holds until it dies: one run per value, the
+    values strictly increasing, and one search above m per death. The
+    search that accepts m returns its death, the last n of its run, capped
+    here at n_max; the first run is m = 1, under which only f(1) is
+    distinct. A quadratic's death is T(m) - 1; on the value path a walk
+    reads each value once, and the searches and walks share one stamp
+    table. A repeated value collides mod every m, so from the death at the
+    first one on D(n) is undefined: a last run with value None. The runs
+    tile 1..n_max, so `analysis.run_length_table` takes them as they are.
 
     A search starts at m + 1, which is at least n since m = D(n-1) >= n-1.
     Every modulus below it is settled, as the module docstring's skip rules

@@ -201,9 +201,8 @@ def test_criterion_8_theorem3():
 
 
 def test_criterion_9_conjecture1_table3():
-    exceptions = check_conjecture1(29, 1, 500)
+    got = check_conjecture1(29, 1, 500)
     expected = [(1, 1, Kind.UNIT), (5, 15, Kind.COMPOSITE_OTHER)]
-    got = [(n, v, cls.kind) for n, v, cls in exceptions]
     report(
         9,
         got == expected,
@@ -220,10 +219,22 @@ def test_criterion_10_parser_and_plumbing():
         f = Polynomial.from_coeffs(coeffs)
         if parse_polynomial(str(f)) != f:
             ok = False
+    refused = 0
     for _ in range(100):
-        seq = [rng.randint(1, 50) for _ in range(rng.randint(1, 30))]
-        if run_length_table(seq).decode() != seq:
-            ok = False
+        # a table read n by n gives compute's D(n); values that repeat refuse
+        # the table at the first n where D is nonexistent
+        f = Polynomial.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+        n = rng.randint(1, 30)
+        expected = [compute(f, k).value for k in range(1, n + 1)]
+        try:
+            rows = run_length_table(scan(f, n))
+        except ValueError as exc:
+            refused += 1
+            first = expected.index(None) + 1 if None in expected else None
+            ok = ok and str(exc) == f"D is nonexistent at n={first}; run-length table undefined"
+        else:
+            ok = ok and [v for n_low, n_high, v in rows for _ in range(n_low, n_high + 1)] == expected
+    ok = ok and 0 < refused < 100
     for _ in range(50):
         f = Polynomial.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
         n = rng.randint(1, 20)
@@ -239,6 +250,7 @@ def test_criterion_10_parser_and_plumbing():
     report(
         10,
         ok,
-        "500 parse/print round trips, 100 run-table round trips, 50 early-exit "
-        "vs all-pairs equivalences",
+        f"500 parse/print round trips, 100 random scans' run-length tables read n by n "
+        f"against compute ({refused} refused for repeated values), 50 early-exit vs "
+        f"all-pairs equivalences",
     )

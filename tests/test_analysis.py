@@ -6,6 +6,7 @@ from polydisc import analysis
 from polydisc import (
     Kind,
     Polynomial,
+    Run,
     check_conjecture1,
     check_theorem3,
     classify_value,
@@ -23,11 +24,11 @@ from tables import POWER_FORMULA_SMALL_N
 class TestInputChecks:
     @pytest.mark.parametrize("call,args,message", [
         (analysis.verify_theorem, (6,), "unknown theorem 6"),
-        (emit_csv, (run_length_table([5]), 4), "4 is not prime"),
+        (emit_csv, ([(1, 1, 5)], 4), "4 is not prime"),
         (classify_value, (0, 3), "value must be >= 1"),
         (classify_value, (FACTOR_LIMIT, 2), "factorize requires 1 <= n < 1,000,000,000,000"),
-        (emit_csv, (run_length_table([5, FACTOR_LIMIT]), 2), "factorize requires 1 <= n < 1,000,000,000,000"),
-        (analysis.csv_prime, (x_dx_minus_1(3), run_length_table([5, FACTOR_LIMIT])),
+        (emit_csv, ([(1, 1, 5), (2, 2, FACTOR_LIMIT)], 2), "factorize requires 1 <= n < 1,000,000,000,000"),
+        (analysis.csv_prime, (x_dx_minus_1(3), [(1, 1, 5), (2, 2, FACTOR_LIMIT)]),
          "csv_prime requires every value < 1,000,000,000,000"),
     ], ids=["verify_theorem", "emit_csv", "classify_value", "classify_value-limit", "emit_csv-limit", "csv_prime-limit"])
     def test_refuses(self, call, args, message):
@@ -38,17 +39,15 @@ class TestInputChecks:
 
 class TestClassifyValue:
     def test_examples(self):
-        assert classify_value(841, 29).kind is Kind.POWER_OF_P
-        assert classify_value(841, 29).detail == (29, 2)
-        assert classify_value(15, 29).kind is Kind.COMPOSITE_OTHER
-        assert classify_value(1, 7).kind is Kind.UNIT
-        assert classify_value(16, 7).kind is Kind.PRIME_POWER_OTHER
-        assert classify_value(16, 7).detail == (2, 4)
+        assert classify_value(841, 29) is Kind.POWER_OF_P
+        assert classify_value(15, 29) is Kind.COMPOSITE_OTHER
+        assert classify_value(1, 7) is Kind.UNIT
+        assert classify_value(16, 7) is Kind.PRIME_POWER_OTHER
 
     def test_partition(self):
         for p in (2, 3, 7, 29):
             for v in range(1, 10 ** 4 + 1):
-                cls = classify_value(v, p)
+                kind = classify_value(v, p)
                 factors = factorize(v)
                 expected = (
                     Kind.UNIT if v == 1
@@ -57,7 +56,7 @@ class TestClassifyValue:
                     else Kind.PRIME_POWER_OTHER if len(factors) == 1
                     else Kind.COMPOSITE_OTHER
                 )
-                assert cls.kind is expected, (v, p)
+                assert kind is expected, (v, p)
 
     def test_rejects_composite_family_prime(self):
         with pytest.raises(ValueError):
@@ -74,9 +73,9 @@ class TestClassifyValue:
             return is_prime(n)
 
         monkeypatch.setattr(analysis.ntheory, "is_prime", counted)
-        table = run_length_table(scan(x_dx_minus_1(p), 60))
-        assert len(table.rows) > 2
-        emit_csv(table, p)
+        rows = run_length_table(scan(x_dx_minus_1(p), 60))
+        assert len(rows) > 2
+        emit_csv(rows, p)
         assert proofs.count(p) == 1
         proofs.clear()
         assert check_conjecture1(p, 1, 60)
@@ -85,35 +84,39 @@ class TestClassifyValue:
 
 class TestRunTable:
     def test_single_run(self):
-        assert run_length_table([5, 5, 5]).rows == ((1, 3, 5),)
+        assert run_length_table([Run(1, 3, 5, 0)]) == [(1, 3, 5)]
 
     def test_paper_rows_present(self):
         t1 = run_length_table(scan(x_dx_minus_1(27), 300))
-        assert (82, 95, 223) in t1.rows and (96, 243, 243) in t1.rows
+        assert (82, 95, 223) in t1 and (96, 243, 243) in t1
         t2 = run_length_table(scan(x_dx_minus_1(49), 300))
-        assert (9, 9, 21) in t2.rows and (153, 300, 343) in t2.rows
+        assert (9, 9, 21) in t2 and (153, 300, 343) in t2
 
     def test_round_trip_random(self):
+        # random runs tiling 1..n with increasing values: each row is its
+        # run's (n_low, n_high, value), so reading the rows n by n gives back
+        # the sequence the runs encode
         rng = random.Random(3)
         for _ in range(100):
-            seq = []
+            runs, seq = [], []
             v = rng.randint(1, 5)
-            for _ in range(rng.randint(1, 40)):
-                if rng.random() < 0.4:
-                    v += rng.randint(1, 9)
-                seq.append(v)
-            assert run_length_table(seq).decode() == seq
+            for _ in range(rng.randint(1, 12)):
+                length = rng.randint(1, 6)
+                runs.append(Run(len(seq) + 1, len(seq) + length, v, rng.randint(0, 9)))
+                seq += [v] * length
+                v += rng.randint(1, 9)
+            rows = run_length_table(runs)
+            assert rows == [run[:3] for run in runs]
+            assert [value for n_low, n_high, value in rows for _ in range(n_low, n_high + 1)] == seq
 
     def test_rows_contiguous_and_distinct(self):
-        table = run_length_table(scan(x_dx_minus_1(29), 500))
-        for (a_lo, a_hi, a_v), (b_lo, b_hi, b_v) in zip(table.rows, table.rows[1:]):
+        rows = run_length_table(scan(x_dx_minus_1(29), 500))
+        for (a_lo, a_hi, a_v), (b_lo, b_hi, b_v) in zip(rows, rows[1:]):
             assert b_lo == a_hi + 1
             assert a_v != b_v
-        assert table.rows[0][0] == 1
+        assert rows[0][0] == 1
 
     def test_rejects_nonexistent(self):
-        from polydisc import Run
-
         with pytest.raises(ValueError):
             run_length_table([Run(1, 1, None, 0)])
 
@@ -126,16 +129,15 @@ class TestRunTable:
 
 class TestEmitCsv:
     def test_table3_line(self):
-        table = run_length_table(scan(x_dx_minus_1(29), 500))
-        text = emit_csv(table, 29)
+        text = emit_csv(run_length_table(scan(x_dx_minus_1(29), 500)), 29)
         assert "5,5,15,composite_other" in text.splitlines()
 
     def test_table1_power_line(self):
-        table = run_length_table(scan(x_dx_minus_1(27), 300))
-        assert "96,243,243,power_of_p" in emit_csv(table, 3).splitlines()
+        rows = run_length_table(scan(x_dx_minus_1(27), 300))
+        assert "96,243,243,power_of_p" in emit_csv(rows, 3).splitlines()
 
     def test_shape(self):
-        text = emit_csv(run_length_table([5, 5, 5]), 5)
+        text = emit_csv([(1, 3, 5)], 5)
         lines = text.split("\n")
         assert lines[0] == "n_low,n_high,value,class"
         assert lines[1] == "1,3,5,prime"
@@ -156,20 +158,19 @@ class TestCsvPrime:
                 rng.choice(primes[:8]) ** rng.randint(1, 6) if rng.random() < 0.6 else rng.randint(1, 5000)
                 for _ in range(rng.randint(1, 12))
             )
-            table = run_length_table(values)
+            rows = [(n, n, value) for n, value in enumerate(values, 1)]
             f = Polynomial.from_coeffs([0, -1, lead])
-            assert emit_csv(table, analysis.csv_prime(f, table)) == emit_csv(table, full), (lead, values)
+            assert emit_csv(rows, analysis.csv_prime(f, rows)) == emit_csv(rows, full), (lead, values)
 
     def test_exact_when_a_row_has_the_prime_as_base(self):
         # 98 = 2 * 7^2: the row 49 = 7^2 reads the prime, and 7 is exact
-        assert analysis.csv_prime(x_dx_minus_1(98), run_length_table([1, 16, 49])) == 7
-        assert analysis.csv_prime(Polynomial.from_coeffs([]), run_length_table([1])) == 2
+        assert analysis.csv_prime(x_dx_minus_1(98), [(1, 1, 1), (2, 2, 16), (3, 3, 49)]) == 7
+        assert analysis.csv_prime(Polynomial.from_coeffs([]), [(1, 1, 1)]) == 2
 
 
 class TestEmitLatex:
     def test_layout(self):
-        table = run_length_table(scan(x_dx_minus_1(29), 500))
-        text = emit_latex(table, "x*(29*x - 1)", 500)
+        text = emit_latex(run_length_table(scan(x_dx_minus_1(29), 500)), "x*(29*x - 1)", 500)
         assert "\\begin{tabular}{| c | c | c | c |}" in text
         assert "$n$ & $D_f(n)$ & $n$ & $D_f(n)$ \\\\" in text
         assert "5 & 15" in text
@@ -180,13 +181,13 @@ class TestConjecture1:
     def test_table3_exceptions(self):
         exceptions = check_conjecture1(29, 1, 500)
         assert [(n, v) for n, v, _ in exceptions] == [(1, 1), (5, 15)]
-        assert exceptions[0][2].kind is Kind.UNIT
-        assert exceptions[1][2].kind is Kind.COMPOSITE_OTHER
+        assert exceptions[0][2] is Kind.UNIT
+        assert exceptions[1][2] is Kind.COMPOSITE_OTHER
 
     def test_table2_exceptions(self):
-        exceptions = {(n, v): cls for n, v, cls in check_conjecture1(7, 2, 300)}
-        assert exceptions[(8, 16)].kind is Kind.PRIME_POWER_OTHER
-        assert exceptions[(9, 21)].kind is Kind.COMPOSITE_OTHER
+        exceptions = {(n, v): kind for n, v, kind in check_conjecture1(7, 2, 300)}
+        assert exceptions[(8, 16)] is Kind.PRIME_POWER_OTHER
+        assert exceptions[(9, 21)] is Kind.COMPOSITE_OTHER
 
     def test_power_of_two_family_only_unit(self):
         assert [(n, v) for n, v, _ in check_conjecture1(2, 1, 64)] == [(1, 1)]

@@ -394,8 +394,8 @@ def test_pinned_bytes(capsys, monkeypatch, argv, status, out, err):
 def test_scan_labels_follow_the_full_factorization():
     p, q = 10000000000000000051, 30000000000000000041
     assert ntheory.is_prime(p) and ntheory.is_prime(q)
-    table = analysis.run_length_table(scan(closedform.x_dx_minus_1(p * q), 12))
-    assert analysis.emit_csv(table, q) == SCAN_CSV_20_DIGIT
+    rows = analysis.run_length_table(scan(closedform.x_dx_minus_1(p * q), 12))
+    assert analysis.emit_csv(rows, q) == SCAN_CSV_20_DIGIT
 
 
 def test_pinned_scan_out(capsys, tmp_path):

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polydisc import (
-    DiscriminatorResult,
     Polynomial,
     Run,
     analysis,
@@ -50,13 +49,12 @@ def value_path():
 class TestResultRecord:
     def test_repr_and_frozen_fields(self):
         # a quadratic is decided by arithmetic: no candidate is checked in full
+        # compute's record is scan's, for one n
         result = compute(P(0, -1, 29), 5)
-        assert repr(result) == "DiscriminatorResult(value=15, n=5, candidates_tested=0)"
-        assert result == DiscriminatorResult(15, 5, 0) and result.exists
+        assert repr(result) == "Run(n_low=5, n_high=5, value=15, candidates_tested=0)"
+        assert result == Run(5, 5, 15, 0) == scan(P(0, -1, 29), 5)[-1]
         with pytest.raises(AttributeError):
             result.value = 16
-        run = scan(P(0, -1, 29), 5)[-1]
-        assert repr(run) == "Run(n_low=5, n_high=5, value=15, candidates_tested=0)"
 
 
 class TestIsDiscriminating:
@@ -100,7 +98,9 @@ def all_pairs_distinct(values, m):
     return all((b - a) % m for i, a in enumerate(values) for b in values[i + 1:])
 
 
-# degree 8: f(40) is about 4.6e25, beyond int64
+# degree 8: f(40) = 1681^4 = 7,984,925,229,121, about 8.0e12, so these 40
+# values fit in int64 (a prefix of f passes int64 only from n = 235); the
+# values beyond int64 come from the BIG lists
 WIDE_VALUES = parse_polynomial("(x^2+x+41)^4").values(40)
 BIG = 10 ** 40
 BIG_REPEAT = [-BIG, 7, -BIG]
@@ -223,8 +223,7 @@ class TestCompute:
         assert compute(P(7, -3, 2), 1).value == 1
 
     def test_nonexistent(self):
-        result = compute(P(4), 3)  # constant polynomial
-        assert result.value is None and not result.exists
+        assert compute(P(4), 3) == Run(3, 3, None, 0)  # constant polynomial
 
     def test_minimality_oracle(self):
         rng = random.Random(11)
@@ -246,7 +245,7 @@ class TestCompute:
             f = P(*[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
             n = rng.randint(1, 25)
             result = compute(f, n)
-            if result.exists:
+            if result.value is not None:
                 assert result.value >= n
 
     def test_candidates_tested_counts_scan(self):
@@ -256,9 +255,9 @@ class TestCompute:
         # and 15 are checked in full; f is quadratic, so compute decides them
         # by their death times and checks none
         f = x_dx_minus_1(29)
-        assert compute(f, 5) == DiscriminatorResult(15, 5, 0)
+        assert compute(f, 5) == Run(5, 5, 15, 0)
         with recorded_checks() as checked, value_path():
-            assert compute(f, 5) == DiscriminatorResult(15, 5, 7)
+            assert compute(f, 5) == Run(5, 5, 15, 7)
         assert checked == [5, 7, 9, 11, 12, 13, 15]
 
 
@@ -642,10 +641,17 @@ def assert_checks(values, lower, result, checked, quadratic):
 
 def assert_searches_agree(f, n_max):
     """scan and compute equal the all-pairs oracle on f(1..n) for every
-    n <= n_max, and every modulus they skip fails it."""
+    n <= n_max, and every modulus they skip fails it. scan's runs tile
+    1..n_max with strictly increasing finite values, and a None run comes
+    only last: `analysis.run_length_table` takes them as they are."""
     quadratic = f.degree == 2
     with recorded_checks() as scanned:
         runs = scan(f, n_max)
+    assert runs[0].n_low == 1 and runs[-1].n_high == n_max
+    assert all(run.n_low <= run.n_high for run in runs)
+    assert all(a.n_high + 1 == b.n_low for a, b in zip(runs, runs[1:]))
+    finite = [run.value for run in (runs[:-1] if runs[-1].value is None else runs)]
+    assert None not in finite and finite == sorted(set(finite))
     for n, value in per_n(runs):
         expected = naive_discriminator(f, n)
         with recorded_checks() as cold_checked:
@@ -779,7 +785,7 @@ class TestDeathTime:
         monkeypatch.setattr(Polynomial, "evaluate", refuse)
         monkeypatch.setattr(Polynomial, "values", refuse)
         assert d_values(scan(x_dx_minus_1(29), 40)) == d_values(scan(P(5, -1, 29), 40))
-        assert compute(P(0, 24, -3), 5) == DiscriminatorResult(None, 5, 0)  # f(3) = f(5)
+        assert compute(P(0, 24, -3), 5) == Run(5, 5, None, 0)  # f(3) = f(5)
 
     def test_a_scan_factors_each_modulus_once(self):
         # the accepting test's death time is the walk's: no modulus is factored twice
