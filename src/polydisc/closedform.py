@@ -174,8 +174,9 @@ def check_theorem4(f: Polynomial, p: int, n: int) -> SandwichReport:
 
     The sandwich rests on one identity: with c dividing every difference,
     f(1..n) collide mod m exactly when (f(i) - f(1)) / c collide mod
-    m / gcd(m, c). The D_pf search uses that identity itself, to skip the
-    moduli a smaller one decides (`discriminator._least_modulus`), so here
+    m / gcd(m, c). The D_pf search uses that identity itself: the moduli
+    with one m / gcd(m, c) share a fate, so it skips each m whose class has
+    a smaller member, already settled (`discriminator._least_modulus`). Here
     the oracle leans on the reasoning it checks; the all-pairs differential
     tests over scaled polynomials, which use neither, keep it honest.
     """

@@ -27,7 +27,9 @@ that s has a s + b = j m for some j in [1, a], and whether a | j m - b
 depends on m only through m mod a. So one table of a cofactors
 (`_cofactors`) gives the least s of every such m, and a scan's searches
 drop the moduli it shows dead without calling `_death_time`
-(`_Quadratic.candidates`).
+(`_Quadratic.candidates`). Whether the table is built is read off f and
+n_max alone: when 3a + b >= 1 and n_max >= 7a + b + 1, so it never holds
+more than n_max / 4 entries.
 
 Any other f is decided by its values: each search computes f(1..n) once and
 checks candidate moduli m by reducing those integers mod m, read in one
@@ -48,11 +50,15 @@ Let g = gcd(m, c) and x = m / g. As gcd(x, c / g) = 1, for every integer e
 
 so f(1..n) collide mod m exactly when the integers (f(i) - f(1)) / c
 collide mod x: the identity behind Theorem 4's sandwich D_f <= D_pf <= p D_f.
-When g > 1 (so x < m, and x is settled), m fails without a check if x < n,
-since n integers share a residue mod x, or if gcd(x, c) = 1, since then
-x | c e <=> x | e as well and m fails exactly when x does. Either way a
-skipped m inherits a witness: a pair (k, l) with x | (f(l) - f(k)) / c, so
-m | f(l) - f(k); in the second case it is x's own witness pair.
+So every modulus with the same x shares m's fate, and the least of them
+is x times the part of c built from x's primes. m fails without a check
+when that fate is settled: when x < n, since n integers share a residue
+mod x, or when some prime of g does not divide x, since then the least
+modulus of the class lies below m and is settled. x^k mod g, for k =
+g.bit_length() above every exponent in g, is 0 exactly when every prime
+of g divides x. A skipped m inherits a witness: a pair (k, l) with
+x | (f(l) - f(k)) / c, so m | f(l) - f(k), the pair that witnesses the
+least modulus of its class in the second case.
 
 On the value path the test of m at n picks m's residue table once: the
 search's shared stamp list when m <= FLAT_TABLE_FACTOR * n, a fresh dict
@@ -67,7 +73,7 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from itertools import compress, count, cycle, repeat
+from itertools import chain, compress, count, cycle, repeat
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -115,14 +121,6 @@ FLAT_TABLE_FACTOR = 64
 # interpreter the scrambled order of values[:n] depends on n alone, and
 # nothing is kept between calls.
 _SCRAMBLE_SEED = 0x5EED
-
-# A quadratic's u = 1 sieve (`_cofactors`) keeps one cofactor per residue mod
-# a, so it serves only a <= _SIEVE_MAX_A, and each search copies the table
-# once. Scans of six quadratics with a from 1,024 to 4,096, to n = 10^5 and,
-# for four of them, to n = 28,700 (about the least n_max that builds the table
-# at a = 4,096), took 0.28 to 0.86 of their time with the sieve off (CPython
-# 3.11, x86-64). Larger a was not measured.
-_SIEVE_MAX_A = 4096
 
 # `_death_time` tries the divisors u < _SMALL_U of m by trial division before
 # it factors m: in scan(x(29x-1), 3000), 172 of the 243 candidates that die
@@ -330,17 +328,18 @@ class _Quadratic:
     The path keeps a > 0, negating a and b when a < 0, since -f has the same
     collisions mod every m.
 
-    The u = 1 sieve. Let start = 3a + b + 1. When start >= 2 and a <=
-    _SIEVE_MAX_A, `_cofactors` gives every m >= start its least s at u = 1,
-    (J m - b) / a. A search at n from lower >= start then drops, inside
-    itertools, each m with J m <= a (2n - 1) + b, that is s <= 2n - 1,
-    which dies at u = 1 by n; `_death_time` decides the rest. As m >= n and
-    m > 3a + b, a (2n - 1) + b < (2a + 1) m, so J = 2a + 1, for no s, keeps
-    m. J costs about one u = 1 test per residue, so it is built only when
-    n_max >= start + 4a: a scan to n_max visits every modulus up to
-    D(n_max) >= n_max, at least 4a of them above start, while a compute at a
-    smaller n, such as Theorem 4's sandwich trials, ends within a few dozen
-    candidates. Every other search tests each candidate from u = 1.
+    The u = 1 sieve. Let start = 3a + b + 1. When start >= 2, `_cofactors`
+    gives every m >= start its least s at u = 1, (J m - b) / a. A search at
+    n from lower >= start then drops, inside itertools, each m with J m <= a
+    (2n - 1) + b, that is s <= 2n - 1, which dies at u = 1 by n;
+    `_death_time` decides the rest. As m >= n and m > 3a + b, a (2n - 1) + b
+    < (2a + 1) m, so J = 2a + 1, for no s, keeps m. J costs about one u = 1
+    test per residue, so it is built only when n_max >= start + 4a: a scan
+    to n_max visits every modulus up to D(n_max) >= n_max, at least 4a of
+    them above start, while a compute at a smaller n, such as Theorem 4's
+    sandwich trials, ends within a few dozen candidates. Every other search
+    tests each candidate from u = 1. A search enters the cycle of J at
+    lower mod a without copying it, so its cost does not grow with a.
     """
 
     tested = 0
@@ -354,16 +353,16 @@ class _Quadratic:
         self.repeat = min(s // 2, n_max) if a * s + b == 0 and s >= 3 else n_max
         self.c = gcd(3 * a + b, 2 * a)
         self.start = 3 * a + b + 1
-        sieved = 2 <= self.start and a <= _SIEVE_MAX_A and self.start + 4 * a <= n_max
+        sieved = 2 <= self.start and self.start + 4 * a <= n_max
         self.cofactors = _cofactors(a, b) if sieved else None
 
     def candidates(self, lower: int, n: int):
         """The moduli from `lower` up, less those the sieve shows dead by n."""
-        if self.cofactors is None or lower < self.start:
+        J, a = self.cofactors, self.a
+        if J is None or lower < self.start:
             return count(lower)
-        r = lower % self.a
-        J = cycle(self.cofactors[r:] + self.cofactors[:r])
-        bound = self.a * (2 * n - 1) + self.b
+        J = chain(map(J.__getitem__, range(lower % a, a)), cycle(J))
+        bound = a * (2 * n - 1) + self.b
         return compress(count(lower), map(bound.__lt__, map(operator.mul, J, count(lower))))
 
     def at(self, n: int):
@@ -396,10 +395,8 @@ def _least_modulus(path, lower: int, n: int) -> tuple[int, int, int]:
     death_of, c, tested = path.at(n), path.c, path.tested
     for m in path.candidates(lower, n):
         g = gcd(m, c)
-        if g > 1:
-            x = m // g
-            if x < n or gcd(x, c) == 1:
-                continue
+        if g > 1 and ((x := m // g) < n or pow(x, g.bit_length(), g)):
+            continue
         if (death := death_of(m)) >= n:
             return m, death, path.tested - tested
 

@@ -98,10 +98,11 @@ def all_pairs_distinct(values, m):
     return all((b - a) % m for i, a in enumerate(values) for b in values[i + 1:])
 
 
-# degree 8: f(40) = 1681^4 = 7,984,925,229,121, about 8.0e12, so these 40
-# values fit in int64 (a prefix of f passes int64 only from n = 235); the
-# values beyond int64 come from the BIG lists
-WIDE_VALUES = parse_polynomial("(x^2+x+41)^4").values(40)
+# degree 8: f(40) = 1681^4, about 8.0e12, fits in int64, and f(235), about
+# 9.5e18, is the first value beyond it; f(400) is about 6.6e20. The prefixes
+# of up to 400 values that TestValueSequence draws reach past int64, and the
+# other draws, of up to 40, stay within it
+WIDE_VALUES = parse_polynomial("(x^2+x+41)^4").values(400)
 BIG = 10 ** 40
 BIG_REPEAT = [-BIG, 7, -BIG]
 
@@ -127,7 +128,7 @@ class TestValueSequence:
         st.one_of(
             st.lists(st.integers(-20, 20), min_size=1, max_size=30),  # repeats, negatives
             st.lists(st.integers(-BIG, BIG), min_size=1, max_size=30),
-            st.integers(1, 40).map(lambda n: WIDE_VALUES[:n]),
+            st.integers(1, 400).map(lambda n: WIDE_VALUES[:n]),
         ).flatmap(with_modulus)
     )
     @example(([5], 1))
@@ -621,11 +622,27 @@ def recorded_checks():
         yield moduli
 
 
-def assert_checks(values, lower, result, checked, quadratic):
+def least_of_class(m, c):
+    """m with every prime power p^e || gcd(m, c), p not dividing m / gcd(m, c),
+    divided out: the least modulus with the same m / gcd(m, c), by trial
+    division."""
+    g = math.gcd(m, c)
+    x, least = m // g, m
+    for p in range(2, g + 1):
+        while g % p == 0:
+            g //= p
+            if x % p:
+                least //= p
+    return least
+
+
+def assert_checks(values, lower, result, checked, quadratic, c):
     """`result`, a compute result or a scan run, came from checking the
-    moduli `checked` of one search from `lower`: it counts them, they lie in
-    [lower, value] and end at the value, and every modulus skipped between
-    them fails the all-pairs oracle. A `quadratic` is decided by arithmetic
+    moduli `checked` of one search from `lower`, on a path whose common
+    difference is `c`: it counts them, they lie in [lower, value] and end at
+    the value, and every modulus skipped between them fails the all-pairs
+    oracle, either by pigeonhole on m / gcd(m, c) or because a smaller
+    modulus of its class fails it too. A `quadratic` is decided by arithmetic
     and checks none. When `values` have no common difference c > 1, so that
     no skip applies, none is skipped."""
     assert result.candidates_tested == len(checked)
@@ -635,6 +652,10 @@ def assert_checks(values, lower, result, checked, quadratic):
     assert all(lower <= m <= result.value for m in checked) and checked[-1] == result.value
     skipped = set(range(lower, result.value)).difference(checked)
     assert not any(all_pairs_distinct(values, m) for m in skipped)
+    for m in skipped:
+        if m // math.gcd(m, c) >= len(values):
+            least = least_of_class(m, c)
+            assert least < m and not all_pairs_distinct(values, least)
     if math.gcd(*(v - values[0] for v in values)) <= 1:
         assert result.candidates_tested == result.value - lower + 1
 
@@ -660,8 +681,9 @@ def assert_searches_agree(f, n_max):
         if expected is None:
             assert cold.candidates_tested == 0
         else:
-            assert_checks(f.values(n), n, cold, cold_checked, quadratic)
+            assert_checks(f.values(n), n, cold, cold_checked, quadratic, discriminator._path(f, n).c)
     assert runs[0] == Run(1, runs[0].n_high, 1, 0)
+    c = discriminator._path(f, n_max).c
     for prev, run in zip(runs, runs[1:]):
         if run.value is None:
             assert run.candidates_tested == 0
@@ -669,7 +691,7 @@ def assert_searches_agree(f, n_max):
             # one search above the value that died; a scan's moduli only increase
             first = prev.value + 1
             checked = [m for m in scanned if first <= m <= run.value]
-            assert_checks(f.values(run.n_low), first, run, checked, quadratic)
+            assert_checks(f.values(run.n_low), first, run, checked, quadratic, c)
 
 
 class TestSearchDifferential:
@@ -688,15 +710,20 @@ class TestSearchDifferential:
     @example([0, -1, 29], 2, 5)  # 2x(29x-1): c = 4
     @example([0, 1], 6, 9)  # 6x: c = 6 from n = 2
     @example([1, 1, 1], 30, 12)  # 30(x^2+x+1): c = 60
+    @example([1, 0, 0, 1], 30, 12)  # 30(x^3+1): c = 30, three primes
+    @example([0, 1], 210, 12)  # 210x: c = 210, four primes
+    @example([3, 1, 1, 1], 240, 10)  # 240(x^3+x^2+x+3): c = 240
+    @example([0, -1, 29], 210, 14)  # 210x(29x-1): c = 420
+    @example([0, 1, 1], 240, 12)  # 240x(x+1): c = 480
     def test_scaled_polynomials_agree(self, coeffs, k, n_max):
         assert_searches_agree(P(*coeffs).scale(k), n_max)
 
     def test_wide_scan_checks(self):
         # c = 240 for (x^2+x+41)^4, and D(700) = 31,051: checking every
-        # candidate took 31,050 checks; the skipped moduli leave 12,672
+        # candidate took 31,050 checks; the skipped moduli leave 10,616
         results = scan(parse_polynomial("(x^2+x+41)^4"), 700)
         assert results[-1].value == 31051
-        assert sum(r.candidates_tested for r in results) == 12672
+        assert sum(r.candidates_tested for r in results) == 10616
 
 
 def death_time(f, m):
@@ -854,7 +881,7 @@ def sieve_applies(f, lower, n_max):
     _, b, a = f.coeffs
     a, b = (a, b) if a > 0 else (-a, -b)
     start = 3 * a + b + 1
-    return 2 <= start <= lower and a <= discriminator._SIEVE_MAX_A and start + 4 * a <= n_max
+    return 2 <= start <= lower and start + 4 * a <= n_max
 
 
 class TestSieve:
@@ -899,7 +926,11 @@ class TestSieve:
     @example(29, -1, 100, 10, 200, 3000)  # x(29x-1): sieved
     @example(29, -1, 50, 10, 200, 3000)  # starts below start = 87: every candidate is tested
     @example(29, -1, 100, 10, 200, 100)  # n_max < start + 4a: no table is built
-    @example(5000, -1, 20000, 100, 100, 10 ** 6)  # a above _SIEVE_MAX_A
+    @example(5000, -1, 20000, 100, 100, 10 ** 6)  # a = 5000: sieved
+    @example(8191, -1, 30000, 100, 100, 60000)  # a = 8191 from start = 24,573
+    @example(8191, -1, 32714, 0, 100, 60000)  # lower = 4a - 50: the window wraps the table
+    @example(100003, -1, 400000, 0, 20, 10 ** 6)  # a = 100,003 from start = 300,009
+    @example(100003, -1, 299999, 10, 20, 10 ** 6)  # lower = 300,009 = start: the first sieved search
     @example(3, -9, 40, 0, 50, 1000)  # 3a + b = 0: f(1) = f(2), nothing sieved
     @example(10 ** 30, 1, 100, 0, 50, 1000)  # 31-digit a
     def test_a_search_drops_exactly_the_moduli_dead_at_u1(self, a, b, n, extra, width, n_max):
@@ -959,7 +990,7 @@ class TestSieve:
             runs = scan(x_dx_minus_1(29), 3000)
         moduli = [call.args[2] for call in death.call_args_list]
         assert len(moduli) == 470 and sum(m < 87 for m in moduli) == 53
-        with mock.patch.object(discriminator, "_SIEVE_MAX_A", 0):
+        with mock.patch.object(discriminator._Quadratic, "candidates", lambda self, lower, n: count(lower)):
             with mock.patch.object(discriminator, "_death_time", wraps=discriminator._death_time) as death:
                 assert scan(x_dx_minus_1(29), 3000) == runs
         assert death.call_count == 4521
@@ -972,4 +1003,14 @@ class TestSieve:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    def test_a_large_a_scan_keeps_its_memory_small(self):
+        # a = 8,191: the table holds a cofactors and no search copies it
+        tracemalloc.start()
+        try:
+            scan(x_dx_minus_1(8191), 60000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
