@@ -60,13 +60,24 @@ of g divides x. A skipped m inherits a witness: a pair (k, l) with
 x | (f(l) - f(k)) / c, so m | f(l) - f(k), the pair that witnesses the
 least modulus of its class in the second case.
 
+The prime test reads m only through m mod c rad(c), where rad(c) is the
+product of c's primes: a prime p of c, p^e || c, divides g but not x
+exactly when p divides m and p^(e + 1) does not. So the value path drops
+the moduli it fails before they reach Python, by a periodic byte table
+(`_classes`) read inside itertools, once a search starts at or above that
+period (`_Values.candidates`); the prime test then passes every survivor,
+and only the x < n test skips one. A quadratic's searches, which the
+u = 1 sieve already thins, run the whole rule on each candidate.
+
 On the value path the test of m at n picks m's residue table once: the
 search's shared stamp list when m <= FLAT_TABLE_FACTOR * n, a fresh dict
-above that. A check of f(1..n) marks it and answers 0 when it rejects;
-when it accepts, a walk (`_first_repeat`) carries on in the same table,
-where the check left f(1..n) marked, from f(n + 1) to the modulus's death.
-So each accepted modulus is walked once, by the search that accepts it,
-and no value is read twice.
+above that. The list grows in steps, to min(2m, FLAT_TABLE_FACTOR * n)
+slots when m passes its length, not by one slot per candidate. A check of
+f(1..n) marks the table and answers 0 when it rejects; when it accepts, a
+walk (`_first_repeat`) carries on in the same table, where the check left
+f(1..n) marked, from f(n + 1) to the modulus's death. So each accepted
+modulus is walked once, by the search that accepts it, and no value is
+read twice.
 """
 
 from __future__ import annotations
@@ -74,7 +85,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from itertools import chain, compress, count, cycle, repeat
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .ntheory import factorize
@@ -92,21 +103,21 @@ class Run(NamedTuple):
 
 
 # The value path's test of m at n (`_Values.at`), the one place that picks a
-# residue table, marks the search's shared list, grown to m slots, while
-# m <= FLAT_TABLE_FACTOR * n, and a fresh dict above that, so its memory grows
-# with n, not with m; indexing a slot is cheaper than hashing an int. A dict
-# takes 62 to 77 bytes per value for 256 to 10,000 values on CPython 3.11
-# (dict entries plus the int objects), and a check that exits early
-# allocates next to nothing. The list is a stamp table, shared across a
-# search's candidates instead of allocated for each: slot r holds the last
-# modulus that saw residue r. A check marks r with m and rejects on a slot
-# equal to m. A table must never see the same m twice; its moduli only
-# increase, so a stale stamp never equals the current m and nothing is
-# cleared between checks. A list, since a stamp is a whole modulus and
-# CPython 3.11 specialises list[int] loads and stores, not byte-array ones. A
-# slot is an 8-byte pointer, at most 512 bytes per value, plus one int object
-# per modulus that still owns a slot. Only the checks and `_first_repeat`,
-# which walks on from one, touch a slot.
+# residue table, marks the search's shared list, grown in steps to at least m
+# and at most FLAT_TABLE_FACTOR * n slots, while m <= FLAT_TABLE_FACTOR * n,
+# and a fresh dict above that, so its memory grows with n, not with m;
+# indexing a slot is cheaper than hashing an int. A dict takes 62 to 77 bytes
+# per value for 256 to 10,000 values on CPython 3.11 (dict entries plus the
+# int objects), and a check that exits early allocates next to nothing. The
+# list is a stamp table, shared across a search's candidates instead of
+# allocated for each: slot r holds the last modulus that saw residue r. A
+# check marks r with m and rejects on a slot equal to m. A table must never
+# see the same m twice; its moduli only increase, so a stale stamp never
+# equals the current m and nothing is cleared between checks. A list, since a
+# stamp is a whole modulus and CPython 3.11 specialises list[int] loads and
+# stores, not byte-array ones. A slot is an 8-byte pointer, at most 512 bytes
+# per value, plus one int object per modulus that still owns a slot. Only the
+# checks and `_first_repeat`, which walks on from one, touch a slot.
 FLAT_TABLE_FACTOR = 64
 
 # Every search reads f(1..n) in one fixed scrambled order. For x(dx - 1),
@@ -279,11 +290,31 @@ def _death_time(a: int, b: int, m: int, n: int) -> int:
     return best
 
 
+def _classes(period: int, primes: list[tuple[int, int]]) -> memoryview:
+    """The common-difference rule's prime test as a table of its period,
+    c rad(c) for the c > 1 whose factorization is `primes`: keep[r] is 1
+    when every m = r mod the period passes, and 0 when the rule skips every
+    such m.
+
+    m passes when each prime p of c, p^e || c, has p not dividing m or
+    p^(e + 1) dividing m, and p^(e + 1) divides the period. So each prime
+    clears the multiples of p but puts back the marks, set by the other
+    primes, of the multiples of p^(e + 1): three slice assignments in C."""
+    keep = bytearray(b"\1") * period
+    for p, e in primes:
+        q = p ** (e + 1)
+        kept = keep[::q]
+        keep[::p] = bytes(period // p)
+        keep[::q] = kept
+    return memoryview(keep)
+
+
 class _Values:
     """The value path: f(1..n_max) exactly, their scrambled prefix for the
-    last search, and the stamp table that searches and walks share. A test
-    at n returns 0 for a rejected m and, for an accepted one, the index of
-    the first repeat mod m, len(values) = n_max when there is none."""
+    last search, the stamp table that searches and walks share, and, once
+    a search reaches its period, the class table (`_classes`). A test at n
+    returns 0 for a rejected m and, for an accepted one, the index of the
+    first repeat mod m, len(values) = n_max when there is none."""
 
     def __init__(self, f: Polynomial, n_max: int):
         self.values = f.values(n_max)
@@ -292,16 +323,40 @@ class _Values:
         self.order: list[int] = []
         self.stamps: list[int] = []
         self.tested = 0
+        self.primes: list[tuple[int, int]] = []
+        self.keep: Optional[memoryview] = None
 
-    @staticmethod
-    def candidates(lower: int, n: int):
-        """Every modulus from `lower` up."""
-        return count(lower)
+    def candidates(self, lower: int, n: int):
+        """The moduli from `lower` up, less, once the class table is built,
+        those whose residue mod its period fails the prime test.
+
+        The table is built by the first search whose `lower` is at least its
+        period c rad(c): by then a scan has visited every modulus below
+        `lower`, and a compute has computed f(1..lower), so its O(c rad(c))
+        steps in C cost less than the search's own start. c is factored once,
+        by the first search with lower >= 2c (c rad(c) >= 2c for c > 1); the
+        wheel's sqrt(c) steps cost less still, and c stays below
+        ntheory.FACTOR_LIMIT, as no search reaches 2 * 10^12. The search
+        enters the table's cycle at lower mod its period without copying it.
+        """
+        c, keep = self.c, self.keep
+        if keep is None and 1 < c <= lower // 2:
+            self.primes = self.primes or factorize(c)
+            period = c * prod(p for p, _ in self.primes)
+            if period <= lower:
+                keep = self.keep = _classes(period, self.primes)
+        if keep is None:
+            return count(lower)
+        period = len(keep)
+        return compress(count(lower), chain(keep[lower % period:], cycle(keep)))
 
     def at(self, n: int):
         """The death of m at n: a check of the scrambled f(1..n), counted in
         `tested`, then, when it accepts, the walk on to the first repeat, both
-        on the table that FLAT_TABLE_FACTOR picks for m."""
+        on the table that FLAT_TABLE_FACTOR picks for m. The shared list grows
+        in steps: a test of an m past its length extends it to
+        min(2m, FLAT_TABLE_FACTOR * n) slots, at least m and never more than
+        the bound, so most tests find it long enough."""
         values, stamps, flat = self.values, self.stamps, FLAT_TABLE_FACTOR * n
         order = _scramble(values, self.order, n)
 
@@ -312,7 +367,7 @@ class _Values:
             else:
                 table = stamps
                 if len(stamps) < m:
-                    stamps.extend(repeat(0, m - len(stamps)))
+                    stamps.extend(repeat(0, min(2 * m, flat) - len(stamps)))
             return _first_repeat(values, m, table, n) if is_discriminating(order, m, table) else 0
 
         return death
@@ -381,8 +436,9 @@ def _least_modulus(path, lower: int, n: int) -> tuple[int, int, int]:
     and the candidates the search checked in full.
 
     The path lists the candidates, leaving out those it already knows dead
-    (a quadratic's u = 1 sieve). A candidate is skipped, unchecked and
-    uncounted, by the module docstring's common-difference rule. Every
+    (a quadratic's u = 1 sieve) or skipped (the value path's class table).
+    A candidate is skipped, unchecked and uncounted, by the module
+    docstring's common-difference rule. Every
     modulus below `lower` must be settled, as it is when the search starts
     at n (pigeonhole) or just above a modulus that has just died, in a scan.
     So `tested` counts the path's full checks: is_discriminating calls on

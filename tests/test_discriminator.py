@@ -318,8 +318,9 @@ class TestScanCarriesSurvivors:
             (parse_polynomial("(x^2+x+41)^4"), 60),
             (P(0, -3, 1), 6),
             (lcm_family(200, [0, -1, 29]), 120),  # carries D = 211 above the flat-table bound
+            (parse_polynomial("(x^2+x+41)^4"), 300),  # period 7,200: the searches from 8,540 on take the class table
         ],
-        ids=["x(29x-1)", "(x^2+x+41)^4", "x(x-3)", "lcm(1..200)x(29x-1)"],
+        ids=["x(29x-1)", "(x^2+x+41)^4", "x(x-3)", "lcm(1..200)x(29x-1)", "(x^2+x+41)^4 to 300"],
     )
     def test_candidates_count_full_checks(self, monkeypatch, f, n_max):
         # the bench's invariant: every modulus counted is one is_discriminating call, and back
@@ -484,6 +485,25 @@ class TestStampTable:
             assert table is path.stamps and len(table) == m
         if death:  # the check and the walk marked f(1..death) in that one table
             assert all(table[r] == m for r in residues[:death])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(1, 30), st.data())
+    def test_the_shared_list_holds_m_to_64n_slots(self, coeffs, n_max, data):
+        # after a test of m <= 64 n the list holds at least m slots and at most
+        # 64 n, for n never falling between tests, as in a scan; a test above
+        # the bound leaves it as it was
+        path = discriminator._Values(P(*coeffs), n_max)
+        n, m = 1, 0
+        for _ in range(data.draw(st.integers(1, 12), label="tests")):
+            n = data.draw(st.integers(n, n_max), label="n")
+            bound = flat_table_bound(range(n))
+            m = data.draw(st.one_of(st.integers(m + 1, m + 3), st.integers(m + 1, max(m + 1, bound + 2))), label="m")
+            before = len(path.stamps)
+            path.at(n)(m)
+            if m <= bound:
+                assert m <= len(path.stamps) <= bound
+            else:
+                assert len(path.stamps) == before
 
     def test_scan_crosses_the_flat_table_bound(self):
         # D = 211 from n = 2, above 64n and kept in a dict, until f(65) and
@@ -715,6 +735,10 @@ class TestSearchDifferential:
     @example([3, 1, 1, 1], 240, 10)  # 240(x^3+x^2+x+3): c = 240
     @example([0, -1, 29], 210, 14)  # 210x(29x-1): c = 420
     @example([0, 1, 1], 240, 12)  # 240x(x+1): c = 480
+    @example([-8, 9, -4, 4, 3], 8, 14)  # c = 16, period 32: the search from 38 builds the class table
+    @example([-6, 8, -4, -2, -1], 9, 14)  # c = 9, period 27: the search from 30 builds the class table
+    @example([7, 0, 0, 1], 64, 12)  # 64(x^3+7): c = 64, its period 128 never reached
+    @example([2, -9, 8, 8, 2], 567, 12)  # c = 567 = 3^4 7
     def test_scaled_polynomials_agree(self, coeffs, k, n_max):
         assert_searches_agree(P(*coeffs).scale(k), n_max)
 
@@ -724,6 +748,112 @@ class TestSearchDifferential:
         results = scan(parse_polynomial("(x^2+x+41)^4"), 700)
         assert results[-1].value == 31051
         assert sum(r.candidates_tested for r in results) == 10616
+
+
+def radical(c):
+    """The product of c's primes, by trial division."""
+    r, p = 1, 2
+    while p * p <= c:
+        if c % p == 0:
+            r *= p
+            while c % p == 0:
+                c //= p
+        p += 1
+    return r * c if c > 1 else r
+
+
+def admitted(m, c, n):
+    """Whether the common-difference rule, restated for one modulus, leaves m
+    to a search's check at n: g = gcd(m, c) is 1, or m / g >= n and no
+    smaller modulus shares m's class."""
+    g = math.gcd(m, c)
+    return g == 1 or (m // g >= n and least_of_class(m, c) == m)
+
+
+# scale factors with repeated primes, so that the prime test skips moduli
+# the pigeonhole test keeps: 4 = 2^2, 8 = 2^3, 9 = 3^2, 64 = 2^6,
+# 240 = 2^4 3 5, 567 = 3^4 7
+REPEATED = st.sampled_from([4, 8, 9, 64, 240, 567])
+
+
+class TestClassTable:
+    """Once a search starts at or above c rad(c), the value path drops the
+    moduli whose prime test fails by a periodic table; every search must
+    still check exactly the moduli the per-modulus rule admits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(REPEATED, st.lists(st.integers(-9, 9), min_size=2, max_size=5)),
+            st.tuples(st.just("lcm"), st.lists(st.integers(-9, 9), min_size=2, max_size=4)),
+        ),
+        st.integers(1, 40),
+        st.one_of(st.integers(0, 200), st.integers(0, 30000)),
+        st.integers(1, 300),
+    )
+    @example((240, [41, 1, 1]), 30, 7170, 100)  # c = 480, period 14,400: no table yet
+    @example((240, [3, 1, 1, 1]), 10, 7190, 300)  # c = 240, period 7,200: a table, entered at 7,200
+    @example((64, [7, 0, 0, 1]), 5, 100, 300)  # c = 64, period 128 above lower = 105: no table
+    @example((64, [7, 0, 0, 1]), 5, 200, 300)  # lower = 205: a table, entered at 205 mod 128 = 77
+    @example((8, [0, 1, 0, 1]), 5, 30, 200)  # c = 16, period 32: a table, entered at 3
+    @example((567, [0, 1, 0, 0, 1]), 40, 30000, 300)  # c = 1,134 = 2 3^4 7, period 47,628: no table
+    @example((9, [1, 0, 0, 1]), 2, 100, 150)  # c = 63 = 3^2 7, period 1,323: no table
+    @example((9, [1, 0, 0, 1]), 2, 1321, 150)  # lower = 1,323 = the period: a table
+    @example(("lcm", [0, 1, 0, 1]), 3, 30000, 200)  # c of 91 digits, never factored
+    def test_a_search_checks_exactly_the_moduli_the_rule_admits(self, family, n, extra, width):
+        k, coeffs = family
+        f = lcm_family(200, coeffs) if k == "lcm" else P(*coeffs).scale(k)
+        path = discriminator._Values(f, n)
+        c, lower = path.c, n + extra
+        end = lower + width
+        checked = []
+
+        def death(m):  # reject every modulus in the window, accept the first past it
+            checked.append(m)
+            return n if m >= end else 0
+
+        path.at = lambda _: death
+        with mock.patch.object(discriminator, "factorize", wraps=discriminator.factorize) as factorize:
+            discriminator._least_modulus(path, lower, n)
+        assert [m for m in checked if m < end] == [m for m in range(lower, end) if admitted(m, c, n)]
+        # the table is built, and c factored, only when the search pays for it
+        assert all(2 * call.args[0] <= lower for call in factorize.call_args_list)
+        built = 1 < c and 2 * c <= lower and c * radical(c) <= lower
+        assert (path.keep is not None) == built
+        if built:
+            assert len(path.keep) == c * radical(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 80))
+    @example(240)  # 2^4 3 5, period 7,200
+    @example(64)  # one prime
+    @example(2)  # period 4
+    def test_the_table_is_the_prime_test(self, c):
+        # the skip line would mend a table that keeps too much, so the table
+        # itself must be exact: r marked 1 exactly when m = r mod its period
+        # is the least of its class
+        period = c * radical(c)
+        keep = discriminator._classes(period, discriminator.factorize(c))
+        assert len(keep) == period
+        assert list(keep) == [least_of_class(period + r, c) == period + r for r in range(period)]
+
+    @pytest.mark.parametrize(
+        "f, n_max",
+        [
+            (parse_polynomial("(x^2+x+41)^4"), 300),  # c = 240, period 7,200: the table from the search at 8,540 on
+            (P(-8, 9, -4, 4, 3).scale(8), 14),  # c = 16, period 32: the table from the search at 38 on
+            (P(-6, 8, -4, -2, -1).scale(9), 14),  # c = 9, period 27: the table from the search at 30 on
+        ],
+        ids=["(x^2+x+41)^4", "8(3x^4+4x^3-4x^2+9x-8)", "9(-x^4-2x^3-4x^2+8x-6)"],
+    )
+    def test_scans_with_and_without_the_table_agree(self, f, n_max):
+        # the same runs and counts as a search that lists every modulus and
+        # leaves the whole rule to the skip line
+        with mock.patch.object(discriminator, "_classes", wraps=discriminator._classes) as classes:
+            runs = scan(f, n_max)
+        assert classes.call_count == 1
+        with mock.patch.object(discriminator._Values, "candidates", lambda self, lower, n: count(lower)):
+            assert scan(f, n_max) == runs
 
 
 def death_time(f, m):
@@ -871,8 +1001,13 @@ class TestPathTest:
 
 
 def least_s(a, b, m):
-    """The least s >= 3 with m | a s + b, or None, by trying one period."""
-    return next((s for s in range(3, m + 3) if (a * s + b) % m == 0), None)
+    """The least s >= 3 with m | a s + b, or None: with h = gcd(a, m) there is
+    one when h | b, and then s = (-b/h)(a/h)^-1 mod m/h, one modular inverse."""
+    h = math.gcd(a, m)
+    if b % h:
+        return None
+    step = m // h
+    return 3 + (-(b // h) * pow(a // h, -1, step) - 3) % step
 
 
 def sieve_applies(f, lower, n_max):
@@ -888,6 +1023,16 @@ class TestSieve:
     """A quadratic's moduli m > 3a + b >= 1 get their least s at u = 1 from a
     table of a cofactors, and a scan's searches drop, untested, those that
     die at u = 1 by n."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(-60, 60), HUGE), st.integers(-300, 300), st.integers(1, 120))
+    @example(0, 5, 7)  # a = 0 mod every m: an s only when m | b
+    @example(6, 3, 10)  # h = 2 does not divide b
+    def test_least_s_equals_trying_one_period(self, a, b, m):
+        # the oracle below solves for s; the s >= 3 with m | a s + b repeat
+        # with a period dividing m, so one period of trials finds the least
+        tried = next((s for s in range(3, m + 3) if (a * s + b) % m == 0), None)
+        assert least_s(a, b, m) == tried
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -929,8 +1074,8 @@ class TestSieve:
     @example(5000, -1, 20000, 100, 100, 10 ** 6)  # a = 5000: sieved
     @example(8191, -1, 30000, 100, 100, 60000)  # a = 8191 from start = 24,573
     @example(8191, -1, 32714, 0, 100, 60000)  # lower = 4a - 50: the window wraps the table
-    @example(100003, -1, 400000, 0, 20, 10 ** 6)  # a = 100,003 from start = 300,009
-    @example(100003, -1, 299999, 10, 20, 10 ** 6)  # lower = 300,009 = start: the first sieved search
+    @example(100003, -1, 400000, 0, 200, 10 ** 6)  # a = 100,003 from start = 300,009
+    @example(100003, -1, 299999, 10, 200, 10 ** 6)  # lower = 300,009 = start: the first sieved search
     @example(3, -9, 40, 0, 50, 1000)  # 3a + b = 0: f(1) = f(2), nothing sieved
     @example(10 ** 30, 1, 100, 0, 50, 1000)  # 31-digit a
     def test_a_search_drops_exactly_the_moduli_dead_at_u1(self, a, b, n, extra, width, n_max):
