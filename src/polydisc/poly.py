@@ -7,6 +7,7 @@ Python ints and therefore exact at any size.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 
@@ -169,33 +170,21 @@ MAX_EXPONENT = 1000
 MAX_DEGREE = 1000
 MAX_NESTING = 100
 
-_SYMBOLS = "+-*^()"
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """One re.finditer pass: each decimal run, symbol or x is a token, any other non-space an error."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isalpha():
-            if ch != "x":
-                raise PolynomialSyntaxError(f"unknown variable {ch!r}, only x is allowed", i)
-            tokens.append(("x", ch, i))
-            i += 1
+    # \d matches what str.isdecimal accepts and \S what str.isspace refuses,
+    # so whitespace matches no group and finditer's search steps over it
+    for match in re.finditer(r"(\d+)|([-+*^()x])|(\S)", text):
+        digits, symbol, other = match.groups()
+        pos = match.start()
+        if other is None:
+            tokens.append(("int", digits, pos) if digits else (symbol, symbol, pos))
+        elif other.isalpha():
+            raise PolynomialSyntaxError(f"unknown variable {other!r}, only x is allowed", pos)
         else:
-            raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+            raise PolynomialSyntaxError(f"unexpected character {other!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 

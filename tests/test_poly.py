@@ -3,7 +3,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polydisc.poly import (
     MAX_DEGREE,
@@ -11,6 +11,7 @@ from polydisc.poly import (
     MAX_NESTING,
     Polynomial,
     PolynomialSyntaxError,
+    _tokenize,
     parse_poly_input,
     parse_polynomial,
 )
@@ -247,6 +248,62 @@ class TestRecord:
         f = P(3, -2, 5)
         assert copy.copy(f) == f and copy.deepcopy(f) == f
         assert pickle.loads(pickle.dumps(f)) == f
+
+
+def reference_tokenize(text):
+    """The character loop _tokenize replaced, kept as the reference it must equal."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+        elif ch in "+-*^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch.isalpha():
+            if ch != "x":
+                raise PolynomialSyntaxError(f"unknown variable {ch!r}, only x is allowed", i)
+            tokens.append(("x", ch, i))
+            i += 1
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except PolynomialSyntaxError as exc:
+        return str(exc), exc.position
+
+
+# letters, decimal digits (ASCII, Arabic-Indic, Devanagari), numerics that are
+# not decimal, the grammar's symbols and two control characters
+TOKEN_CHARS = "xXyλé0123456789٣७²①½+-*^()\x00\x7f"
+# each is str.isspace(), the file separator \x1c and the line separator \u2028 too
+SPACES = " \t\n\r\x0b\x1c\u00a0\u2028\u3000"
+spaced_text = st.tuples(
+    st.text(SPACES, max_size=4), st.text(TOKEN_CHARS + SPACES, max_size=30), st.text(SPACES, max_size=4)
+).map("".join)
+
+
+class TestTokenizer:
+    @given(spaced_text)
+    @example("x ")  # a catch-all that took whitespace would reject the trailing space
+    @example(" \u3000y\t")
+    @example("\n² ")
+    @example("12\u00a0٣७*x\x0b")
+    def test_equals_the_character_loop(self, text):
+        assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
 
 
 coeff = st.integers(min_value=-9, max_value=9)
