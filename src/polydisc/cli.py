@@ -2,8 +2,9 @@
 
 The CLI parses and prints. Every input rule (a prime p, a capped r, n >= 1,
 a count >= 1, a finite D) belongs to the library function that takes the
-value; the CLI prints its ValueError as an `error:` line and exits 1, as it
-does when a write to stdout fails (a closed pipe, a full device).
+value. The CLI raises ValueError too, for an argument it cannot parse or an
+--out file it cannot write; it prints any ValueError as an `error:` line and
+exits 1, as it does when a write to stdout fails (a closed pipe, a full device).
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ from .discriminator import compute, scan
 from .poly import Polynomial, PolynomialSyntaxError, parse_poly_input
 
 
-class CLIError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; the contract is 1
-        raise CLIError(message)
+        raise ValueError(message)
 
 
 def _read_poly(text: str) -> Polynomial:
     try:
         return parse_poly_input(text)
     except PolynomialSyntaxError as exc:
-        raise CLIError(f"bad polynomial: {exc}") from None
+        raise ValueError(f"bad polynomial: {exc}") from None
 
 
 def _parse_family_spec(spec: str) -> tuple[int, int]:
@@ -40,14 +37,14 @@ def _parse_family_spec(spec: str) -> tuple[int, int]:
     parts = spec.split(",")
     for part in parts:
         if "=" not in part:
-            raise CLIError(f"bad --family spec {spec!r}, expected p=<prime>,r=<int>")
+            raise ValueError(f"bad --family spec {spec!r}, expected p=<prime>,r=<int>")
         key, _, value = part.partition("=")
         try:
             fields[key.strip()] = int(value)
         except ValueError:
-            raise CLIError(f"bad --family value {value!r}") from None
+            raise ValueError(f"bad --family value {value!r}") from None
     if len(parts) != 2 or set(fields) != {"p", "r"}:
-        raise CLIError(f"--family must give exactly p and r, got {spec!r}")
+        raise ValueError(f"--family must give exactly p and r, got {spec!r}")
     return fields["p"], fields["r"]
 
 
@@ -57,7 +54,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CLIError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -162,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed or full stdout fails here, not at interpreter exit
         return status
-    except (CLIError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # the library does no I/O and _emit reports its own file, so an
         # OSError is a failed write to stdout: the exit flush then writes to nowhere
         if isinstance(exc, OSError):
