@@ -8,7 +8,7 @@ from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 from . import ntheory
-from .closedform import bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
+from .closedform import _mismatches, bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
 from .discriminator import Run, _first_repeat, _scramble, is_discriminating, scan
 from .poly import Polynomial
 
@@ -135,20 +135,23 @@ def check_conjecture1(p: int, r: int, n_max: int) -> list[tuple[int, int, Kind]]
     """Exceptions to "D is prime or p^ceil(log_p n)" for f = x(p^r x - 1), as
     (n, D_f(n), its `classify_value` Kind) triples in order of n.
 
-    The unit value 1 is always reported as an exception even though it equals
-    p^0; the conjectured form is read as a genuine prime power. An empty tail
-    is evidence, never proof. The family comes from
+    The conjectured form is read as a genuine prime power, p^max(1,
+    ceil(log_p n)), so the unit value 1 (D at n = 1 only) is always reported
+    as an exception even though it equals p^0. Each non-prime run of the
+    oracle scan is compared with that form by `closedform._mismatches`: the
+    form is nondecreasing in n, so a run that matches it at both ends matches
+    at every n. An empty tail is evidence, never proof. The family comes from
     `closedform.prime_power_family`, which proves p prime (once per call) and
     caps r before anything is scanned.
     """
     exceptions: list[tuple[int, int, Kind]] = []
-    for n_low, n_high, v, _ in scan(prime_power_family(p, r), n_max):
-        if ntheory.is_prime(v):
+    for run in scan(prime_power_family(p, r), n_max):
+        if ntheory.is_prime(run.value):
             continue
-        kind = _classify(v, p)
-        # lemma1_bound(p, r, n), without proving p prime again
+        kind = _classify(run.value, p)
+        # lemma1_bound(p, r, n) from n = 2 on, without proving p prime again
         exceptions += [
-            (n, v, kind) for n in range(n_low, n_high + 1) if v == 1 or v != p ** ntheory.ceil_log(p, n)
+            (n, run.value, kind) for n, _ in _mismatches(run, lambda n: p ** max(1, ntheory.ceil_log(p, n)))
         ]
     return exceptions
 
@@ -201,19 +204,6 @@ class Verdict(NamedTuple):
     ok: bool
     message: str
     notes: tuple[str, ...] = ()
-
-
-def _mismatches(run: Run, formula):
-    """(n, formula(n)) for each n of `run` where a formula nondecreasing in n
-    differs from the run's value; a run that matches at both ends matches
-    throughout, so only a run that does not is read n by n."""
-    n_low, n_high, value, _ = run
-    if formula(n_high) == value and (n_low == n_high or formula(n_low) == value):
-        return
-    for n in range(n_low, n_high + 1):
-        expected = formula(n)
-        if expected != value:
-            yield n, expected
 
 
 def _check_power_family(ds: Sequence[int], n_max: int, claim: str) -> Verdict:

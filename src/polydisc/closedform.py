@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from math import gcd, prod
-from typing import Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import ntheory
-from .discriminator import compute, scan
+from .discriminator import Run, compute, scan
 from .poly import MAX_EXPONENT, Polynomial
 
 
@@ -79,8 +81,8 @@ def bsw_discriminator(j: int, n: int) -> int:
 class PrimeFamily(NamedTuple):
     """A polynomial whose discriminator is the least prime past a threshold.
 
-    The threshold is the exact rational (a*n + b) / c; the progression
-    constraint is p = residue (mod modulus).
+    The threshold is the exact rational (a*n + b) / c, with a, c > 0 so that
+    it rises with n; the progression constraint is p = residue (mod modulus).
     """
 
     tag: str
@@ -127,31 +129,63 @@ def sun_prime_discriminator(family: PrimeFamily, n: int) -> int:
 FAMILY_VALID_FROM = 5
 
 
+def _mismatches(run: Run, formula: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """(n, formula(n)) for each n of `run` where `formula` differs from the
+    run's value, in order of n.
+
+    The formula must be nondecreasing in n, while a run holds one value. So
+    where the formula equals that value at both ends of the run, it is
+    squeezed to it at every n between, and the run is read at its ends
+    only; only a run that differs at an end is read n by n.
+    """
+    n_low, n_high, value, _ = run
+    if formula(n_high) == value and (n_low == n_high or formula(n_low) == value):
+        return
+    for n in range(n_low, n_high + 1):
+        expected = formula(n)
+        if expected != value:
+            yield n, expected
+
+
+def _formula_runs(family: PrimeFamily, n: int) -> Iterator[tuple[int, int]]:
+    """(n_low, p) for each run of the formula from `n` on, one per prime: p
+    is the formula's value from n_low up to the next run's n_low.
+
+    The threshold floor((a n + b) / c) does not decrease, and p exceeds it
+    exactly while a n <= c p - b - 1. So p holds from n_low through
+    (c p - b - 1) // a, and the next prime's run starts one past that.
+    """
+    while True:
+        p = sun_prime_discriminator(family, n)
+        yield n, p
+        n = (family.c * p - family.b - 1) // family.a + 1
+
+
 def family_primes(
     family: PrimeFamily, count: int
 ) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
     """The first `count` distinct formula values from n = FAMILY_VALID_FROM on.
 
-    Each n is cross-checked against the runs of one oracle scan up to the
-    last n; returns the primes and the (n, formula, oracle) mismatches, which
-    the theorem predicts are none.
+    The formula is walked prime by prime (`_formula_runs`), so it is
+    evaluated once per prime, and one oracle scan runs to the first n of the
+    last prime. Each oracle run, clipped to n >= FAMILY_VALID_FROM, is
+    compared by `_mismatches` with the formula as read off the walk: the
+    prime of the walked run that holds n. That reading is nondecreasing in
+    n, so an oracle run that matches it at both ends matches at every n.
+    Returns the primes and the (n, formula, oracle) mismatches, which the
+    theorem predicts are none.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    formulas: list[int] = []
-    primes: list[int] = []
-    while len(primes) < count:
-        formula = sun_prime_discriminator(family, FAMILY_VALID_FROM + len(formulas))
-        formulas.append(formula)
-        if not primes or formula != primes[-1]:
-            primes.append(formula)
-    mismatches = [
-        (n, formulas[n - FAMILY_VALID_FROM], run.value)
-        for run in scan(family.polynomial, FAMILY_VALID_FROM + len(formulas) - 1)
-        for n in range(max(run.n_low, FAMILY_VALID_FROM), run.n_high + 1)
-        if run.value != formulas[n - FAMILY_VALID_FROM]
-    ]
-    return primes, mismatches
+    runs = [run for _, run in zip(range(count), _formula_runs(family, FAMILY_VALID_FROM))]
+    primes = [p for _, p in runs]
+
+    def formula(n: int) -> int:
+        return primes[bisect.bisect_right(runs, n, key=itemgetter(0)) - 1]
+
+    oracle = (run for run in scan(family.polynomial, runs[-1][0]) if run.n_high >= FAMILY_VALID_FROM)
+    clipped = (run._replace(n_low=max(run.n_low, FAMILY_VALID_FROM)) for run in oracle)
+    return primes, [(n, expected, run.value) for run in clipped for n, expected in _mismatches(run, formula)]
 
 
 class SandwichReport(NamedTuple):

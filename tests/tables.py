@@ -13,6 +13,8 @@ else matches the published table. The certificates are asserted in the
 acceptance suite.
 """
 
+import itertools
+
 TABLE1_PUBLISHED = [
     (1, 1, 1), (2, 3, 3), (4, 9, 9), (10, 27, 27), (28, 81, 81),
     (82, 97, 223), (98, 243, 243), (244, 260, 541), (261, 270, 659),
@@ -60,3 +62,15 @@ POWER_FORMULA_SMALL_N = {
 def per_n(runs):
     """(n, D(n)) for every n that `scan`'s runs cover, in order."""
     return [(n, run.value) for run in runs for n in range(run.n_low, run.n_high + 1)]
+
+
+def perturbed_scan(scan, bump):
+    """`scan` with `bump(n)` added to D at each n, regrouped into runs of one
+    value; a check that reads the oracle's runs then sees a wrong oracle."""
+    from polydisc import Run  # bench/workloads.py runs this file without polydisc on the path
+
+    def perturbed(f, n_max):
+        pairs = [(n, value + bump(n)) for n, value in per_n(scan(f, n_max))]
+        groups = (list(group) for _, group in itertools.groupby(pairs, key=lambda pair: pair[1]))
+        return [Run(group[0][0], group[-1][0], group[0][1], 0) for group in groups]
+    return perturbed

@@ -1,17 +1,21 @@
 import ast
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polydisc
 from polydisc import analysis, closedform, ntheory, scan
 from polydisc.cli import main
 
-from tables import TABLE3
+from tables import TABLE3, perturbed_scan
 
 
 def run(capsys, *argv):
@@ -210,14 +214,12 @@ class TestFailurePaths:
         assert out == "FAIL: counterexample d=3 n=10: oracle 27, formula 28\n"
 
     def test_primes_mismatch_exits_2(self, capsys, monkeypatch):
-        real = closedform.sun_prime_discriminator
-        monkeypatch.setattr(
-            closedform, "sun_prime_discriminator", lambda family, n: real(family, n) + (n == 6)
-        )
+        # the formula is read at run ends only, so the oracle's runs are perturbed
+        monkeypatch.setattr(closedform, "scan", perturbed_scan(closedform.scan, lambda n: n == 6))
         status, out, err = run(capsys, "primes", "--family", "2xx1", "--count", "3")
         assert status == 2
-        assert out == "11\n12\n13\n"
-        assert err == "mismatch at n=6: formula 12, oracle 11\n"
+        assert out == "11\n13\n17\n"
+        assert err == "mismatch at n=6: formula 11, oracle 12\n"
 
     @pytest.mark.parametrize("theorem,n_max,name,perturb,line", [
         (3, 20, "check_theorem3", lambda real: lambda n_max: real(n_max) + [(20, 21)],
@@ -575,3 +577,77 @@ def test_cli_does_no_mathematics():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not {"ntheory", "MAX_EXPONENT"} & imported
     assert not {"ntheory", "is_prime", "MAX_EXPONENT"} & names
+
+
+# Random command lines: each command with a random subset of its own flags,
+# plus a stray flag now and then, every value drawn from valid and malformed
+# text. Sizes stay near 300 or below, and a drawn polynomial has degree at
+# most about 1,000, so no run takes more than a fraction of a second.
+POLY_PARTS = (
+    "x", "x^2", "x^3", "2", "27", "-", "+", "*", "(", ")", "^", "0", "-1", " ",
+    "coeffs:", ",", "y", "x^1001", "1_0", "10" * 16,
+)
+SIZES = st.one_of(st.integers(1, 300).map(str), st.sampled_from(["0", "-2", "", "x", "1.5", "1e3", "-0", "0x10"]))
+FAMILY_SPECS = st.one_of(
+    st.sampled_from(["p=2,r=1", "p=3,r=2", "p=29,r=1", "p=97,r=1", *sorted(closedform.FAMILIES)]),
+    st.sampled_from(["p=4,r=1", "p=2", "r=1,p=3", "p=2,r=0", "p=2,r=1001", "p=x,r=1", "p=2,r=1,q=3", "p=2,,r=1", ""]),
+    st.builds("p={},r={}".format, st.integers(-3, 300), st.integers(-2, 5)),
+)
+FLAG_VALUES = {
+    "--poly": st.one_of(
+        st.sampled_from(["x", "x^2-x", "x*(27*x-1)", "(x^2+x+41)^4", "x^5", "coeffs:0,-1,2", "0", "7"]),
+        st.lists(st.sampled_from(POLY_PARTS), max_size=7).map("".join),
+    ),
+    "--n": SIZES,
+    "--n-max": SIZES,
+    "--count": SIZES,
+    "--seed": st.one_of(SIZES, st.just("10" * 20)),
+    "--family": FAMILY_SPECS,
+    "--theorem": st.integers(-1, 6).map(str),
+    "--format": st.sampled_from(["csv", "latex", "tex", ""]),
+    "--out": st.sampled_from(["dir", "missing", "file"]),
+}
+COMMAND_FLAGS = {
+    "compute": ("--poly", "--n"),
+    "scan": ("--poly", "--n-max", "--format", "--out"),
+    "table": ("--family", "--n-max", "--format", "--out"),
+    "verify": ("--theorem", "--n-max", "--seed"),
+    "conjecture": ("--family", "--n-max"),
+    "primes": ("--family", "--count"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "bogus", ""]))
+    flags = [flag for flag in COMMAND_FLAGS.get(command, ()) if draw(st.sampled_from((True, True, True, False)))]
+    flags += draw(st.lists(st.sampled_from([*FLAG_VALUES, "--help", "--bogus"]), max_size=1))
+    argv = [command] if command or draw(st.booleans()) else []
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag in FLAG_VALUES:
+            argv.append(draw(FLAG_VALUES[flag]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return {"dir": str(root), "missing": str(root / "missing" / "t.csv"), "file": str(root / "t.csv")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_any_command_line_exits_0_1_or_2_without_a_traceback(out_paths, argv):
+    argv = [out_paths.get(arg, arg) if prev == "--out" else arg for prev, arg in zip([None, *argv], argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse exits after printing --help
+            status = exc.code
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,8 +1,16 @@
+import bisect
+import functools
+import itertools
+from operator import itemgetter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polydisc import (
     FAMILIES,
     Polynomial,
+    Run,
     bsw_discriminator,
     check_theorem4,
     compute,
@@ -19,11 +27,13 @@ from polydisc.closedform import (
     FAMILY_VALID_FROM,
     FOUR_X_4XMINUS1,
     TWO_X_XMINUS1,
+    _formula_runs,
+    _mismatches,
     family_primes,
     sample_sandwich_trials,
 )
 
-from tables import POWER_FORMULA_SMALL_N, per_n
+from tables import POWER_FORMULA_SMALL_N, per_n, perturbed_scan
 
 
 def x_power(j):
@@ -155,6 +165,19 @@ class TestBSW:
         assert compute(fifteenth, 11).value == 15
 
 
+WALK_N_MAX = 10 ** 5
+
+
+@functools.cache
+def walked_runs(tag):
+    """`_formula_runs` of a family from n = 1 on, through the run past WALK_N_MAX."""
+    runs = []
+    for run in _formula_runs(FAMILIES[tag], 1):
+        runs.append(run)
+        if run[0] > WALK_N_MAX:
+            return runs
+
+
 class TestPrimeFamilies:
     def test_examples(self):
         assert sun_prime_discriminator(TWO_X_XMINUS1, 4) == 7
@@ -187,13 +210,12 @@ class TestPrimeFamilies:
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_family_primes_match_cold_computes(self, monkeypatch, tag, perturbed):
         # the per-n loop family_primes replaced: one cold compute from m = n
-        # for every n; a perturbed formula makes mismatches to compare too
+        # for every n. family_primes reads the formula at run ends only, so
+        # the mismatches to compare come from a perturbed oracle: D + 1 at
+        # every n with n % 7 == 0, in scan's runs and the cold computes alike
         family = FAMILIES[tag]
-        if perturbed:
-            real = closedform.sun_prime_discriminator
-            monkeypatch.setattr(
-                closedform, "sun_prime_discriminator", lambda fam, n: real(fam, n) + (n % 7 == 0)
-            )
+        bump = (lambda n: n % 7 == 0) if perturbed else (lambda n: 0)
+        monkeypatch.setattr(closedform, "scan", perturbed_scan(closedform.scan, bump))
         formula = closedform.sun_prime_discriminator
         oracle = {}
         for count in range(1, 61):
@@ -201,7 +223,7 @@ class TestPrimeFamilies:
             n = FAMILY_VALID_FROM
             while len(primes) < count:
                 if n not in oracle:
-                    oracle[n] = compute(family.polynomial, n).value
+                    oracle[n] = compute(family.polynomial, n).value + bump(n)
                 if formula(family, n) != oracle[n]:
                     mismatches.append((n, formula(family, n), oracle[n]))
                 if not primes or formula(family, n) != primes[-1]:
@@ -209,6 +231,13 @@ class TestPrimeFamilies:
                 n += 1
             assert family_primes(family, count) == (primes, mismatches), count
             assert bool(mismatches) == (perturbed and n > 7)
+
+    def test_an_oracle_run_reaching_below_the_valid_range_is_compared_from_it(self, monkeypatch):
+        # the oracle's run of 11 is made to reach down to n = 4, where the
+        # formula is not claimed, so only its n >= FAMILY_VALID_FROM count
+        monkeypatch.setattr(closedform, "scan", perturbed_scan(closedform.scan, lambda n: 4 * (n == 4)))
+        assert closedform.scan(TWO_X_XMINUS1.polynomial, 8)[3] == Run(4, 6, 11, 0)
+        assert family_primes(TWO_X_XMINUS1, 3) == ([11, 13, 17], [])
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_family_primes_refuses_a_count_below_one(self, count):
@@ -221,6 +250,57 @@ class TestPrimeFamilies:
             assert 3 * p4 > 8 * n - 4 and p4 < 8 * n, n
             p18 = sun_prime_discriminator(EIGHTEEN_X_3XMINUS1, n)
             assert 3 * n < p18 < 54 * n, n
+
+    @pytest.mark.parametrize("tag", sorted(FAMILIES))
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, WALK_N_MAX))
+    def test_the_walk_holds_the_formula(self, tag, n):
+        # the walked run that holds n has the formula's prime at n, and its
+        # last n is the last at which the formula gives that prime
+        family = FAMILIES[tag]
+        runs = walked_runs(tag)
+        i = bisect.bisect_right(runs, n, key=itemgetter(0)) - 1
+        (n_low, p), (next_low, next_p) = runs[i], runs[i + 1]
+        assert sun_prime_discriminator(family, n) == p
+        assert sun_prime_discriminator(family, n_low) == sun_prime_discriminator(family, next_low - 1) == p
+        assert sun_prime_discriminator(family, next_low) == next_p > p
+
+
+@st.composite
+def step_formula_and_run(draw):
+    """A nondecreasing step formula, as its values at n = 1, 2, ..., and a
+    run inside those n, of a value the formula takes in it or near it."""
+    values = list(itertools.accumulate(draw(st.lists(st.integers(0, 2), min_size=1, max_size=30))))
+    n_low = draw(st.integers(1, len(values)))
+    n_high = draw(st.one_of(st.just(n_low), st.integers(n_low, len(values))))
+    value = draw(st.one_of(
+        st.sampled_from(values[n_low - 1:n_high]), st.integers(values[0] - 1, values[-1] + 1)
+    ))
+    return values, Run(n_low, n_high, value, 0)
+
+
+class TestMismatches:
+    @settings(max_examples=500, deadline=None)
+    @given(case=step_formula_and_run())
+    @example(case=([3], Run(1, 1, 3, 0)))  # one n, matching
+    @example(case=([3], Run(1, 1, 4, 0)))  # one n, not matching
+    @example(case=([1, 2, 2, 2, 3], Run(2, 4, 2, 0)))  # matching at both ends
+    @example(case=([1, 2, 2, 2, 3], Run(1, 4, 2, 0)))  # differing at the low end only
+    @example(case=([1, 2, 2, 2, 3], Run(2, 5, 2, 0)))  # differing at the high end only
+    @example(case=([1, 2, 2, 2, 3], Run(1, 5, 4, 0)))  # differing everywhere
+    def test_equals_a_per_n_comparison(self, case):
+        values, run = case
+        calls = []
+
+        def formula(n):
+            calls.append(n)
+            return values[n - 1]
+
+        expected = [(n, values[n - 1]) for n in range(run.n_low, run.n_high + 1) if values[n - 1] != run.value]
+        assert list(_mismatches(run, formula)) == expected
+        if values[run.n_low - 1] == values[run.n_high - 1] == run.value:
+            # a run that matches at both ends is read at its ends only
+            assert sorted(set(calls)) == sorted({run.n_low, run.n_high})
 
 
 class TestTheorem4:

@@ -92,22 +92,37 @@ CHECKS = (
         ("primes", "--family", "2xx1", "--count", "10000"),
         120,
         "c777dcd81428e6ef219700a7351efa3d6718f5d4686988e8ba46f2e274c30dae",
-        "Sun's prime family 2x(x-1): 10,000 formula primes, each n cross-checked against one"
-        " oracle scan to n = 52,382; the last prime is 104,773",
+        "Sun's prime family 2x(x-1): 10,000 formula primes, walked one per prime, and one"
+        " oracle scan to n = 52,382 compared with them run by run; the last prime is 104,773",
     ),
     Check(
         ("primes", "--family", "4x4x1", "--count", "10000"),
         120,
         "e74ce2e12b3dccc68a61274bfd7c531429011f2550e07884995c475ab820080a",
-        "Sun's prime family 4x(4x-1): 10,000 formula primes, each n cross-checked against one"
-        " oracle scan to n = 84,457; the last prime is 225,221",
+        "Sun's prime family 4x(4x-1): 10,000 formula primes, walked one per prime, and one"
+        " oracle scan to n = 84,457 compared with them run by run; the last prime is 225,221",
     ),
     Check(
         ("primes", "--family", "18x3x1", "--count", "10000"),
         120,
         "d344011e0fec779ec4e2fb6c4f073e5bbfffb7b89a71be5f0dae277386e67aeb",
-        "Sun's prime family 18x(3x-1): 10,000 formula primes, each n cross-checked against one"
-        " oracle scan to n = 75,075; the last prime is 225,241",
+        "Sun's prime family 18x(3x-1): 10,000 formula primes, walked one per prime, and one"
+        " oracle scan to n = 75,075 compared with them run by run; the last prime is 225,241",
+    ),
+    Check(
+        ("primes", "--family", "4x4x1", "--count", "100000"),
+        120,
+        "5b4b7ae6731173c6fdbacf0d37daa6e83c27878ae8a3be8d7cf55006756e073f",
+        "Sun's prime family 4x(4x-1) at ten times the count: 100,000 formula primes, and most"
+        " of the time goes to the one oracle scan to n = 1,032,195; the last prime is 2,752,601",
+    ),
+    Check(
+        ("conjecture", "--family", "p=2,r=1", "--n-max", "1000000"),
+        120,
+        "9b2551cd215974bed99e59cc7aefa30fcff13142c215d27c7d11c97c67532f16",
+        "Conjecture 1 for x(2x-1) to 10^6: 21 runs, D(1) = 1 and then 2^k for k = 1..20, each"
+        " non-prime one compared with 2^max(1, ceil(log2 n)) at its two ends; the one exception"
+        " printed is n=1 value=1",
     ),
 )
 
