@@ -25,21 +25,29 @@ _MR_LADDER = (
 FACTOR_LIMIT = 10 ** 12
 
 
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Miller-Rabin round: odd n > 2 is a strong probable prime to base a."""
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _odd_part(k: int) -> tuple[int, int]:
+    """(d, s) with k = d * 2^s and d odd, for k > 0."""
+    s = (k & -k).bit_length() - 1
+    return k >> s, s
+
+
+def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
+    """Miller-Rabin: odd n > 2 is a strong probable prime to every base a.
+
+    Writing n - 1 = d * 2^s, once for all bases, n passes base a when
+    a^d = 1 or a^(d * 2^r) = -1 for some 0 <= r < s (all mod n).
+    """
+    d, s = _odd_part(n - 1)
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+    return True
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -62,45 +70,35 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge's parameters, for odd n > 2.
 
     D is the first of 5, -7, 9, -11, ... with (D/n) = -1; P = 1 and
-    Q = (1 - D) / 4. Writing n + 1 = d * 2^s, n passes when U_d = 0 or
-    V_(d * 2^r) = 0 for some 0 <= r < s (all mod n).
+    Q = (1 - D) / 4. Writing n + 1 = k * 2^s, n passes when U_k = 0 or
+    V_(k * 2^r) = 0 for some 0 <= r < s (all mod n).
+
+    Only the V sequence is computed. Since D U_k = 2 V_(k+1) - P V_k and
+    (D/n) = -1 makes D a unit mod n, U_k = 0 exactly when 2 V_(k+1) = V_k.
     """
     if isqrt(n) ** 2 == n:
         return False  # no D with (D/n) = -1 exists for a square
     d = 5
-    while True:
-        j = _jacobi(d, n)
-        if j == -1:
-            break
+    while (j := _jacobi(d, n)) != -1:
         if j == 0 and abs(d) != n:
             return False
         d = -d - 2 if d > 0 else -d + 2
     q = (1 - d) // 4
-
-    def half(v: int) -> int:
-        v %= n
-        return (v + n) // 2 if v % 2 else v // 2
-
-    k = n + 1
-    s = 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
-    # U_1 = 1, V_1 = P = 1; double and add along the bits of k
-    u, v, qk = 1, 1, q % n
-    for bit in bin(k)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
+    k, s = _odd_part(n + 1)
+    # (V_j, V_(j+1), Q^j) from j = 0; each bit b of k, high to low, takes j
+    # to 2j + b by V_2j = V_j^2 - 2Q^j and V_(2j+1) = V_j V_(j+1) - Q^j
+    v, w, qj = 2, 1, 1
+    for bit in bin(k)[2:]:
         if bit == "1":
-            u, v = half(u + v), half(d * u + v)
-            qk = qk * q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
+            v, w, qj = (v * w - qj) % n, (w * w - 2 * qj * q) % n, qj * qj * q % n
+        else:
+            v, w, qj = (v * v - 2 * qj) % n, (v * w - qj) % n, qj * qj % n
+    if 2 * w % n == v:
+        return True  # U_k = 0
+    for _ in range(s):
         if v == 0:
             return True
+        v, qj = (v * v - 2 * qj) % n, qj * qj % n
     return False
 
 
@@ -120,8 +118,8 @@ def is_prime(n: int) -> bool:
         return True
     for threshold, bases in _MR_LADDER:
         if n < threshold:
-            return all(_strong_probable_prime(n, a) for a in bases)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+            return _miller_rabin(n, bases)
+    return _miller_rabin(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

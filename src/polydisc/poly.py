@@ -105,8 +105,6 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

@@ -11,6 +11,11 @@ so 223 cannot discriminate n = 96 and 659 cannot discriminate n = 269.
 TABLE1_CORRECTED moves those two run boundaries accordingly; everything
 else matches the published table. The certificates are asserted in the
 acceptance suite.
+
+This module imports the standard library only. The benchmark harness
+(bench/workloads.py) reads TABLE3 by executing this file's text in a process
+that has no polydisc on sys.path, so a polydisc import here would break every
+benchmark workload; tests/test_cli.py runs it that way.
 """
 
 import itertools

@@ -82,6 +82,23 @@ class TestScanAndTable:
         ]
         assert rows == TABLE3
 
+    def test_tables_module_loads_without_polydisc(self, tmp_path):
+        # the benchmark reads TABLE3 by exec-ing tests/tables.py in a process
+        # that cannot import polydisc: -I drops PYTHONPATH and the script's
+        # directory from sys.path, the cwd is outside the repo, and a None
+        # entry in sys.modules blocks an installed copy
+        child = (
+            "import sys; sys.modules['polydisc'] = None; path = sys.argv[1]; ns = {}; "
+            "exec(compile(open(path, encoding='utf-8').read(), path, 'exec'), ns); "
+            "print(repr(ns['TABLE3']))"
+        )
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tables.py")
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", child, path],
+            cwd=tmp_path, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert ast.literal_eval(out) == TABLE3
+
     def test_table_bad_family(self, capsys):
         status, _, err = run(capsys, "table", "--family", "p=6,r=1", "--n-max", "10")
         assert status == 1 and "not prime" in err

@@ -1,6 +1,8 @@
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polydisc import ntheory
 
@@ -12,6 +14,83 @@ def sieve(limit):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return flags
+
+
+# Reference probable-prime tests that ntheory must agree with: one
+# Miller-Rabin round per base, each splitting n - 1 itself, and the strong
+# Lucas test computed from both U and V.
+def reference_strong_probable_prime(n, a):
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_strong_lucas_probable_prime(n):
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while True:
+        j = ntheory._jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+
+    def half(v):
+        v %= n
+        return (v + n) // 2 if v % 2 else v // 2
+
+    k = n + 1
+    s = 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = half(u + v), half(d * u + v)
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def reference_is_prime(n):
+    if n < 2:
+        return False
+    for p in ntheory._SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    for threshold, bases in ntheory._MR_LADDER:
+        if n < threshold:
+            return all(reference_strong_probable_prime(n, a) for a in bases)
+    return reference_strong_probable_prime(n, 2) and reference_strong_lucas_probable_prime(n)
+
+
+odd_of_3_to_1000_bits = st.integers(2, 999).flatmap(
+    lambda bits: st.integers(2 ** (bits - 1), 2 ** bits - 1)
+).map(lambda n: 2 * n + 1)
 
 
 class TestIsPrime:
@@ -70,6 +149,22 @@ class TestIsPrime:
         for n in range(low, high + 1):
             assert ntheory.is_prime(n) == bool(flags[n - low]), n
 
+    @settings(max_examples=300, deadline=None)
+    @given(odd_of_3_to_1000_bits)
+    @example(3)
+    @example(5459)  # a strong Lucas pseudoprime (OEIS A217255)
+    @example(3_317_044_064_679_887_385_961_981)  # the top threshold, a composite
+    @example(2 ** 521 - 1)
+    @example(2 ** 607 - 1)
+    def test_agrees_with_the_reference(self, n):
+        assert ntheory.is_prime(n) == reference_is_prime(n)
+        assert ntheory._strong_lucas_probable_prime(n) == reference_strong_lucas_probable_prime(n)
+
+    @pytest.mark.parametrize("threshold", [threshold for threshold, _ in ntheory._MR_LADDER])
+    def test_agrees_with_the_reference_across_each_ladder_threshold(self, threshold):
+        for n in range(threshold - 2_000, threshold + 2_001):
+            assert ntheory.is_prime(n) == reference_is_prime(n), n
+
     def test_beyond_the_ladder(self):
         assert ntheory.is_prime(2 ** 89 - 1)
         assert ntheory.is_prime(2 ** 127 - 1)
@@ -120,10 +215,11 @@ class TestInputChecks:
     @pytest.mark.parametrize("call,args,message", [
         (ntheory.euler_phi, (0,), "euler_phi requires n >= 1"),
         (ntheory.ceil_log, (1, 5), "ceil_log requires base >= 2"),
+        (ntheory.ceil_log, (2, 0), "ceil_log requires n >= 1"),
         (ntheory.next_prime_satisfying, (1, 0, 0), "modulus must be >= 1"),
         (ntheory.factorize, (ntheory.FACTOR_LIMIT,), "factorize requires 1 <= n < 1,000,000,000,000"),
         (ntheory.euler_phi, (ntheory.FACTOR_LIMIT,), "factorize requires 1 <= n < 1,000,000,000,000"),
-    ], ids=["euler_phi", "ceil_log", "next_prime_satisfying", "factorize-limit", "euler_phi-limit"])
+    ], ids=["euler_phi", "ceil_log", "ceil_log-n", "next_prime_satisfying", "factorize-limit", "euler_phi-limit"])
     def test_refuses(self, call, args, message):
         with pytest.raises(ValueError) as exc:
             call(*args)

@@ -29,6 +29,12 @@ class TestParse:
         assert parse_polynomial("0") == P()
         assert parse_polynomial("0").is_zero()
 
+    @pytest.mark.parametrize("text", ["0*x", "x*0", "(x-x)*(x+1)", "(x-x)^2"])
+    def test_zero_products(self, text):
+        f = parse_polynomial(text)
+        assert f == P() and f.is_zero()
+        assert str(f) == "0"
+
     def test_expansion_identity(self):
         assert parse_polynomial("(x-1)*(x+1) + 1") == P(0, 0, 1)
 
