@@ -5,7 +5,8 @@ from __future__ import annotations
 import enum
 import math
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from itertools import zip_longest
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import ntheory
 from .closedform import _mismatches, bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
@@ -118,15 +119,9 @@ def emit_latex(rows: Sequence[tuple[int, int, int]], poly_text: str, n_max: int)
         "$n$ & $D_f(n)$ & $n$ & $D_f(n)$ \\\\",
         "\\hline",
     ]
-    for i in range(half):
-        left = rows[i]
-        cells = [_cell(left[0], left[1]), str(left[2])]
-        if i + half < len(rows):
-            right = rows[i + half]
-            cells += [_cell(right[0], right[1]), str(right[2])]
-        else:
-            cells += ["", ""]
-        lines.append(" & ".join(cells) + " \\\\")
+    # an odd row count leaves the last right half empty: _cell("", "") is ""
+    for (a_low, a_high, a), (b_low, b_high, b) in zip_longest(rows[:half], rows[half:], fillvalue=("", "", "")):
+        lines.append(f"{_cell(a_low, a_high)} & {a} & {_cell(b_low, b_high)} & {b} \\\\")
     lines += ["\\hline", "\\end{tabular}", "\\end{table}"]
     return "\n".join(lines) + "\n"
 
@@ -206,31 +201,22 @@ class Verdict(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _check_power_family(ds: Sequence[int], n_max: int, claim: str) -> Verdict:
-    """Theorems 1 and 2: the oracle equals sun_power_formula for x(dx - 1)."""
-    for d in ds:
-        for run in scan(x_dx_minus_1(d), n_max):
-            for n, expected in _mismatches(run, partial(sun_power_formula, d)):
-                return Verdict(False, f"counterexample d={d} n={n}: oracle {run.value}, formula {expected}")
-    return Verdict(True, f"{claim} for all n <= {n_max}")
-
-
-def _check_theorem5(n_max: int) -> Verdict:
-    """Bremser-Schumer-Washington for x^j: one warm-started scan per exponent."""
+def _check_formulas(cases: Sequence[tuple[str, Polynomial, Callable[[int], int]]], n_max: int, claim: str) -> Verdict:
+    """Theorems 1, 2 and 5: scan each (label, f, formula) case to n_max and
+    compare its runs with the formula. A mismatch is a note only when its
+    exact (j, n, oracle, formula) is listed in KNOWN_POWER_FORMULA_EXCEPTIONS;
+    any other is the counterexample. A pass reports `claim` formatted with
+    n_max and the number of notes."""
+    known = {(f"j={j}", *entry) for j, entries in KNOWN_POWER_FORMULA_EXCEPTIONS.items() for entry in entries}
     notes = []
-    for j in (2, 3, 4, 5, 6, 9):
-        known = KNOWN_POWER_FORMULA_EXCEPTIONS.get(j, ())
-        for run in scan(Polynomial.from_coeffs([0] * j + [1]), n_max):
-            for n, formula in _mismatches(run, partial(bsw_discriminator, j)):
-                detail = f"j={j} n={n}: oracle {run.value}, formula {formula}"
-                if (n, run.value, formula) not in known:
+    for label, f, formula in cases:
+        for run in scan(f, n_max):
+            for n, expected in _mismatches(run, formula):
+                detail = f"{label} n={n}: oracle {run.value}, formula {expected}"
+                if (label, n, run.value, expected) not in known:
                     return Verdict(False, f"counterexample {detail}")
                 notes.append(f"known small-n exception {detail}")
-    return Verdict(
-        True,
-        f"power formula matched the oracle for n <= {n_max} outside {len(notes)} known small-n exceptions",
-        tuple(notes),
-    )
+    return Verdict(True, claim.format(n_max=n_max, notes=len(notes)), tuple(notes))
 
 
 def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAULT_SEED) -> Verdict:
@@ -245,10 +231,6 @@ def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAUL
         n_max = {1: 243, 2: 128, 3: 200, 5: 100}.get(theorem)
     elif n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if theorem == 1:
-        return _check_power_family((3,), n_max, "d=3: oracle equals 3^ceil(log3 n)")
-    if theorem == 2:
-        return _check_power_family((2, 4, 8, 16), n_max, "d in {2,4,8,16}: oracle equals 2^ceil(log2 n)")
     if theorem == 3:
         n_max = max(15, n_max)
         violations = check_theorem3(n_max)
@@ -265,4 +247,15 @@ def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAUL
                     f"D_f={report.d_f}, D_pf={report.d_pf}"
                 ))
         return Verdict(True, f"sandwich D_f <= D_pf <= p*D_f held for {trials} random (f, p, n)")
-    return _check_theorem5(n_max)
+    if theorem == 5:
+        js = (2, 3, 4, 5, 6, 9)
+        cases = [(f"j={j}", Polynomial.from_coeffs([0] * j + [1]), partial(bsw_discriminator, j)) for j in js]
+        return _check_formulas(
+            cases, n_max, "power formula matched the oracle for n <= {n_max} outside {notes} known small-n exceptions"
+        )
+    if theorem == 1:
+        ds, claim = (3,), "d=3: oracle equals 3^ceil(log3 n)"
+    else:
+        ds, claim = (2, 4, 8, 16), "d in {{2,4,8,16}}: oracle equals 2^ceil(log2 n)"
+    cases = [(f"d={d}", x_dx_minus_1(d), partial(sun_power_formula, d)) for d in ds]
+    return _check_formulas(cases, n_max, claim + " for all n <= {n_max}")

@@ -93,10 +93,6 @@ class PrimeFamily(NamedTuple):
     residue: int
     modulus: int
 
-    def threshold_floor(self, n: int) -> int:
-        # p > (a*n + b)/c  <=>  p > floor((a*n + b)/c)  for integer p
-        return (self.a * n + self.b) // self.c
-
 
 TWO_X_XMINUS1 = PrimeFamily(
     "2x(x-1)", Polynomial.from_coeffs([0, -2, 2]), a=2, b=-2, c=1, residue=0, modulus=1
@@ -119,9 +115,8 @@ def sun_prime_discriminator(family: PrimeFamily, n: int) -> int:
     """Least prime past the family threshold in the family's residue class."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ntheory.next_prime_satisfying(
-        family.threshold_floor(n), family.residue, family.modulus
-    )
+    # p > (a*n + b)/c  <=>  p > floor((a*n + b)/c)  for integer p
+    return ntheory.next_prime_satisfying((family.a * n + family.b) // family.c, family.residue, family.modulus)
 
 
 # The prime-family formulas are verified from this n onward; the 4x(4x-1)

@@ -8,6 +8,7 @@ Python ints and therefore exact at any size.
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 
@@ -51,17 +52,10 @@ class Polynomial:
             cs.pop()
         return Polynomial(tuple(cs))
 
-    @staticmethod
-    def constant(c: int) -> "Polynomial":
-        return Polynomial.from_coeffs([c])
-
     @property
     def degree(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -90,13 +84,7 @@ class Polynomial:
         return Polynomial(tuple(c * a for a in self.coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.from_coeffs(out)
+        return Polynomial.from_coeffs([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -116,7 +104,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.constant(1)
+        result = Polynomial((1,))
         base = self
         while n:
             if n & 1:
@@ -242,7 +230,7 @@ class _Parser:
         kind, value, pos = self.take()
         if kind == "int":
             try:
-                return Polynomial.constant(int(value))
+                return Polynomial.from_coeffs([int(value)])
             except ValueError:  # a literal longer than sys.get_int_max_str_digits()
                 raise _too_long(value, pos) from None
         if kind == "x":

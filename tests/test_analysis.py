@@ -252,6 +252,13 @@ class TestVerifyTheorem:
         assert not verdict.ok
         assert verdict.message == "counterexample d=3 n=10: oracle 27, formula 28"
 
+    def test_a_known_exception_excuses_only_its_exact_mismatch(self, monkeypatch):
+        # (8, 18, 19) is listed for j = 4; a formula reading 20 there is not
+        real = analysis.bsw_discriminator
+        monkeypatch.setattr(analysis, "bsw_discriminator", lambda j, n: 20 if (j, n) == (4, 8) else real(j, n))
+        verdict = analysis.verify_theorem(5, 12)
+        assert verdict == (False, "counterexample j=4 n=8: oracle 18, formula 20", ())
+
     def test_theorem5_notes_are_the_exception_table(self):
         verdict = analysis.verify_theorem(5, 100)
         assert verdict.ok and len(verdict.notes) == 9

@@ -239,6 +239,9 @@ class TestFailurePaths:
         assert err == "mismatch at n=6: formula 11, oracle 12\n"
 
     @pytest.mark.parametrize("theorem,n_max,name,perturb,line", [
+        # d=8 is the third of four scans: each d has its own label
+        (2, 16, "sun_power_formula", lambda real: lambda d, n: real(d, n) + (d == 8 and n == 9),
+         "FAIL: counterexample d=8 n=9: oracle 16, formula 17\n"),
         (3, 20, "check_theorem3", lambda real: lambda n_max: real(n_max) + [(20, 21)],
          "FAIL: counterexample n=20 m=21: discriminating but neither prime nor 2^k\n"),
         # the third of the seeded trials is reported as failing
@@ -249,7 +252,7 @@ class TestFailurePaths:
          "FAIL: counterexample f=9*x^3 - 8*x^2 - 3*x + 5 p=3 n=30: D_f=87, D_pf=145\n"),
         (5, 12, "bsw_discriminator", lambda real: lambda j, n: real(j, n) + (n == 10),
          "FAIL: counterexample j=2 n=10: oracle 22, formula 23\n"),
-    ], ids=["theorem3", "theorem4", "theorem5"])
+    ], ids=["theorem2", "theorem3", "theorem4", "theorem5"])
     def test_verify_counterexample_of_each_check_exits_2(
         self, capsys, monkeypatch, theorem, n_max, name, perturb, line
     ):
@@ -306,6 +309,21 @@ PINNED = [
      "\\centering\n\\begin{tabular}{| c | c | c | c |}\n\\hline\n"
      "$n$ & $D_f(n)$ & $n$ & $D_f(n)$ \\\\\n\\hline\n"
      "1 & 1 & 5 & 15 \\\\\n2 & 3 & 6 - 10 & 19 \\\\\n3 - 4 & 7 & 11 - 12 & 29 \\\\\n"
+     "\\hline\n\\end{tabular}\n\\end{table}\n", ""),
+    # an odd row count leaves the last line's right half empty
+    (("scan", "--poly", "x*(29*x-1)", "--n-max", "10", "--format", "latex"), 0,
+     "\\begin{table}[ht]\n"
+     "\\caption{Discriminator values for $f(x) = 29*x^2 - x$, $n = 1, \\ldots, 10$.}\n"
+     "\\centering\n\\begin{tabular}{| c | c | c | c |}\n\\hline\n"
+     "$n$ & $D_f(n)$ & $n$ & $D_f(n)$ \\\\\n\\hline\n"
+     "1 & 1 & 5 & 15 \\\\\n2 & 3 & 6 - 10 & 19 \\\\\n3 - 4 & 7 &  &  \\\\\n"
+     "\\hline\n\\end{tabular}\n\\end{table}\n", ""),
+    (("scan", "--poly", "x*(29*x-1)", "--n-max", "1", "--format", "latex"), 0,
+     "\\begin{table}[ht]\n"
+     "\\caption{Discriminator values for $f(x) = 29*x^2 - x$, $n = 1, \\ldots, 1$.}\n"
+     "\\centering\n\\begin{tabular}{| c | c | c | c |}\n\\hline\n"
+     "$n$ & $D_f(n)$ & $n$ & $D_f(n)$ \\\\\n\\hline\n"
+     "1 & 1 &  &  \\\\\n"
      "\\hline\n\\end{tabular}\n\\end{table}\n", ""),
     (("table", "--family", "p=29,r=1", "--n-max", "80"), 0,
      "n_low,n_high,value,class\n1,1,1,unit\n2,2,3,prime\n3,4,7,prime\n"

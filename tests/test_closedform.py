@@ -193,7 +193,6 @@ class TestPrimeFamilies:
     def test_threshold_is_exact(self):
         # p > (8n-4)/3 compared without floating point: at n = 5 the threshold
         # is 12, and 13 = 1 mod 4 qualifies while 12 does not exceed itself
-        assert FOUR_X_4XMINUS1.threshold_floor(5) == 12
         assert sun_prime_discriminator(FOUR_X_4XMINUS1, 5) == 13
 
     def test_oracle_equivalence_from_5(self, capsys):

@@ -21,18 +21,53 @@ def P(*coeffs):
     return Polynomial.from_coeffs(coeffs)
 
 
+def reference_add(f, g):
+    """f + g by an index loop over the shorter coefficient tuple."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return Polynomial.from_coeffs(out)
+
+
+COEFFS = st.lists(st.integers(-10**30, 10**30), max_size=8)
+
+
+@st.composite
+def addends(draw):
+    """Two coefficient lists. In about half the draws b's top k terms are minus
+    a's, so a + b cancels from the top, down to the zero polynomial at k = len(a)."""
+    a, b = draw(COEFFS), draw(COEFFS)
+    if draw(st.booleans()):
+        low = len(a) - draw(st.integers(0, len(a)))
+        b = (b + [0] * low)[:low] + [-c for c in a[low:]]
+    return a, b
+
+
+@given(addends())
+@example(([1, 2, 3], [-1, -2, -3]))
+@example(([5, 0, -7], [0, 4, 7]))
+def test_add_and_sub_match_the_reference(pair):
+    a, b = pair
+    expected = reference_add(P(*a), P(*b))
+    assert P(*a) + P(*b) == expected
+    assert P(*a) - P(*(-c for c in b)) == expected
+
+
 class TestParse:
     def test_family_quadratic(self):
         assert parse_polynomial("x*(27*x-1)") == P(0, -1, 27)
 
     def test_zero(self):
         assert parse_polynomial("0") == P()
-        assert parse_polynomial("0").is_zero()
+        assert parse_polynomial("0") == Polynomial(())
 
     @pytest.mark.parametrize("text", ["0*x", "x*0", "(x-x)*(x+1)", "(x-x)^2"])
     def test_zero_products(self, text):
         f = parse_polynomial(text)
-        assert f == P() and f.is_zero()
+        assert f == P() and f == Polynomial(())
         assert str(f) == "0"
 
     def test_expansion_identity(self):
