@@ -64,10 +64,13 @@ The prime test reads m only through m mod c rad(c), where rad(c) is the
 product of c's primes: a prime p of c, p^e || c, divides g but not x
 exactly when p divides m and p^(e + 1) does not. So the value path drops
 the moduli it fails before they reach Python, by a periodic byte table
-(`_classes`) read inside itertools, once a search starts at or above that
-period (`_Values.candidates`); the prime test then passes every survivor,
-and only the x < n test skips one. A quadratic's searches, which the
-u = 1 sieve already thins, run the whole rule on each candidate.
+(`_classes`) read inside itertools; the prime test then passes every
+survivor, and only the x < n test skips one. Whether the table is built is
+read off f and n_max alone, once, when the path is built (`_Values`): when
+c rad(c) <= FLAT_TABLE_FACTOR * n_max, the stamp list's own bound, so the
+table's memory grows with n, not with m. Each search only enters its cycle
+at lower mod its period. A quadratic's searches, which the u = 1 sieve
+already thins, run the whole rule on each candidate.
 
 On the value path the test of m at n picks m's residue table once: the
 search's shared stamp list when m <= FLAT_TABLE_FACTOR * n, a fresh dict
@@ -299,7 +302,9 @@ def _classes(period: int, primes: list[tuple[int, int]]) -> memoryview:
     m passes when each prime p of c, p^e || c, has p not dividing m or
     p^(e + 1) dividing m, and p^(e + 1) divides the period. So each prime
     clears the multiples of p but puts back the marks, set by the other
-    primes, of the multiples of p^(e + 1): three slice assignments in C."""
+    primes, of the multiples of p^(e + 1): three slice assignments in C.
+    `_Values` builds it once per path, when the period is at most
+    FLAT_TABLE_FACTOR * n_max, so its bytes grow with n_max, not with m."""
     keep = bytearray(b"\1") * period
     for p, e in primes:
         q = p ** (e + 1)
@@ -311,44 +316,48 @@ def _classes(period: int, primes: list[tuple[int, int]]) -> memoryview:
 
 class _Values:
     """The value path: f(1..n_max) exactly, their scrambled prefix for the
-    last search, the stamp table that searches and walks share, and, once
-    a search reaches its period, the class table (`_classes`). A test at n
-    returns 0 for a rejected m and, for an accepted one, the index of the
-    first repeat mod m, len(values) = n_max when there is none."""
+    last search, the stamp table that searches and walks share, and the
+    class table (`_classes`) when its period fits the stamp list's bound. A
+    test at n returns 0 for a rejected m and, for an accepted one, the index
+    of the first repeat mod m, len(values) = n_max when there is none.
+
+    The class table is decided here, from f and n_max, never inside a
+    search. With flat = FLAT_TABLE_FACTOR * n_max, c is factored only when
+    2c <= flat, as c rad(c) >= 2c for c > 1, and the table is built only
+    when c rad(c) <= flat: at most flat bytes, an eighth of the stamp
+    list's bound, in O(flat) steps in C. c <= 32 n_max stays below
+    ntheory.FACTOR_LIMIT: the path holds a list of n_max values, 8 bytes a
+    slot at least, so n_max is far below FACTOR_LIMIT / 32, about 3 * 10^10
+    (250 GB of slots), and the wheel's sqrt(32 n_max) steps are fewer than
+    the n_max values the path computes once n_max >= 32. The table skips
+    exactly the moduli that `_least_modulus`'s prime test skips, so whether
+    it is built changes no search's answer or count, only where the test
+    runs.
+    """
 
     def __init__(self, f: Polynomial, n_max: int):
         self.values = f.values(n_max)
         self.repeat = _first_equal(self.values)
-        self.c = gcd(*(v - self.values[0] for v in self.values[1:len(f.coeffs)])) or 1
+        self.c = c = gcd(*(v - self.values[0] for v in self.values[1:len(f.coeffs)])) or 1
         self.order: list[int] = []
         self.stamps: list[int] = []
         self.tested = 0
-        self.primes: list[tuple[int, int]] = []
         self.keep: Optional[memoryview] = None
+        flat = FLAT_TABLE_FACTOR * n_max
+        if 1 < c and 2 * c <= flat:
+            primes = factorize(c)
+            period = c * prod(p for p, _ in primes)
+            if period <= flat:
+                self.keep = _classes(period, primes)
 
     def candidates(self, lower: int, n: int):
-        """The moduli from `lower` up, less, once the class table is built,
-        those whose residue mod its period fails the prime test.
-
-        The table is built by the first search whose `lower` is at least its
-        period c rad(c): by then a scan has visited every modulus below
-        `lower`, and a compute has computed f(1..lower), so its O(c rad(c))
-        steps in C cost less than the search's own start. c is factored once,
-        by the first search with lower >= 2c (c rad(c) >= 2c for c > 1); the
-        wheel's sqrt(c) steps cost less still, and c stays below
-        ntheory.FACTOR_LIMIT, as no search reaches 2 * 10^12. The search
-        enters the table's cycle at lower mod its period without copying it.
-        """
-        c, keep = self.c, self.keep
-        if keep is None and 1 < c <= lower // 2:
-            self.primes = self.primes or factorize(c)
-            period = c * prod(p for p, _ in self.primes)
-            if period <= lower:
-                keep = self.keep = _classes(period, self.primes)
-        if keep is None:
+        """The moduli from `lower` up, less, when the path has a class table,
+        those whose residue mod its period fails the prime test. The search
+        enters the table's cycle at lower mod its period without copying it,
+        and neither factors nor builds anything."""
+        if (keep := self.keep) is None:
             return count(lower)
-        period = len(keep)
-        return compress(count(lower), chain(keep[lower % period:], cycle(keep)))
+        return compress(count(lower), chain(keep[lower % len(keep):], cycle(keep)))
 
     def at(self, n: int):
         """The death of m at n: a check of the scrambled f(1..n), counted in

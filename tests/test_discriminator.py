@@ -318,7 +318,7 @@ class TestScanCarriesSurvivors:
             (parse_polynomial("(x^2+x+41)^4"), 60),
             (P(0, -3, 1), 6),
             (lcm_family(200, [0, -1, 29]), 120),  # carries D = 211 above the flat-table bound
-            (parse_polynomial("(x^2+x+41)^4"), 300),  # period 7,200: the searches from 8,540 on take the class table
+            (parse_polynomial("(x^2+x+41)^4"), 300),  # period 7,200 <= 64 * 300: every search takes the class table
         ],
         ids=["x(29x-1)", "(x^2+x+41)^4", "x(x-3)", "lcm(1..200)x(29x-1)", "(x^2+x+41)^4 to 300"],
     )
@@ -735,9 +735,9 @@ class TestSearchDifferential:
     @example([3, 1, 1, 1], 240, 10)  # 240(x^3+x^2+x+3): c = 240
     @example([0, -1, 29], 210, 14)  # 210x(29x-1): c = 420
     @example([0, 1, 1], 240, 12)  # 240x(x+1): c = 480
-    @example([-8, 9, -4, 4, 3], 8, 14)  # c = 16, period 32: the search from 38 builds the class table
-    @example([-6, 8, -4, -2, -1], 9, 14)  # c = 9, period 27: the search from 30 builds the class table
-    @example([7, 0, 0, 1], 64, 12)  # 64(x^3+7): c = 64, its period 128 never reached
+    @example([-8, 9, -4, 4, 3], 8, 14)  # c = 16, period 32: a class table on every path with c = 16
+    @example([-6, 8, -4, -2, -1], 9, 14)  # c = 9, period 27: a class table on every path with c = 9
+    @example([7, 0, 0, 1], 64, 12)  # 64(x^3+7): c = 64, period 128: a table from n_max = 2 on
     @example([2, -9, 8, 8, 2], 567, 12)  # c = 567 = 3^4 7
     def test_scaled_polynomials_agree(self, coeffs, k, n_max):
         assert_searches_agree(P(*coeffs).scale(k), n_max)
@@ -776,10 +776,26 @@ def admitted(m, c, n):
 REPEATED = st.sampled_from([4, 8, 9, 64, 240, 567])
 
 
+def searched(path, lower, n, width):
+    """The moduli below lower + width that a search on `path` from `lower` at
+    n checks in full, when every check below lower + width rejects and the
+    first one past it accepts."""
+    end, checked = lower + width, []
+
+    def death(m):
+        checked.append(m)
+        return n if m >= end else 0
+
+    path.at = lambda _: death
+    discriminator._least_modulus(path, lower, n)
+    return [m for m in checked if m < end]
+
+
 class TestClassTable:
-    """Once a search starts at or above c rad(c), the value path drops the
-    moduli whose prime test fails by a periodic table; every search must
-    still check exactly the moduli the per-modulus rule admits."""
+    """A value path for n_max has a periodic table that drops the moduli
+    whose prime test fails exactly when its period c rad(c) is at most
+    FLAT_TABLE_FACTOR * n_max, decided when the path is built; every search
+    must still check exactly the moduli the per-modulus rule admits."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -791,37 +807,39 @@ class TestClassTable:
         st.one_of(st.integers(0, 200), st.integers(0, 30000)),
         st.integers(1, 300),
     )
-    @example((240, [41, 1, 1]), 30, 7170, 100)  # c = 480, period 14,400: no table yet
-    @example((240, [3, 1, 1, 1]), 10, 7190, 300)  # c = 240, period 7,200: a table, entered at 7,200
-    @example((64, [7, 0, 0, 1]), 5, 100, 300)  # c = 64, period 128 above lower = 105: no table
-    @example((64, [7, 0, 0, 1]), 5, 200, 300)  # lower = 205: a table, entered at 205 mod 128 = 77
-    @example((8, [0, 1, 0, 1]), 5, 30, 200)  # c = 16, period 32: a table, entered at 3
+    @example((240, [41, 1, 1]), 30, 7170, 100)  # c = 480, period 14,400 above 64 * 30: factored, no table
+    @example((240, [3, 1, 1, 1]), 10, 7190, 300)  # c = 240, period 7,200 above 64 * 10: no table
+    @example((240, [3, 1, 1, 1]), 113, 7000, 300)  # 7,200 <= 64 * 113: a table, entered at 7,113, wrapping at 7,200
+    @example((64, [7, 0, 0, 1]), 1, 100, 300)  # c = 64: 2c = 128 above 64 * 1, so c is not factored
+    @example((64, [7, 0, 0, 1]), 2, 100, 300)  # period 128 = 64 * 2, the bound itself: a table, entered at 102
+    @example((64, [7, 0, 0, 1]), 5, 200, 300)  # a table, entered at 205 mod 128 = 77
+    @example((8, [0, 1, 0, 1]), 5, 30, 200)  # c = 16, period 32: a table, entered at 35 mod 32 = 3
     @example((567, [0, 1, 0, 0, 1]), 40, 30000, 300)  # c = 1,134 = 2 3^4 7, period 47,628: no table
-    @example((9, [1, 0, 0, 1]), 2, 100, 150)  # c = 63 = 3^2 7, period 1,323: no table
-    @example((9, [1, 0, 0, 1]), 2, 1321, 150)  # lower = 1,323 = the period: a table
+    @example((9, [1, 0, 0, 1]), 20, 100, 150)  # c = 63 = 3^2 7, period 1,323 above 64 * 20: no table
+    @example((9, [1, 0, 0, 1]), 21, 1302, 150)  # 1,323 <= 64 * 21: a table, entered at lower = 1,323, its start
     @example(("lcm", [0, 1, 0, 1]), 3, 30000, 200)  # c of 91 digits, never factored
+    # 240(x^2+x+41): c = 480 from n = 3 on, period 480 * 30 = 14,400
+    @example((240, [41, 1, 1]), 14, 14376, 300)  # 2c = 960 above 64 * 14: c is not factored
+    @example((240, [41, 1, 1]), 224, 14176, 300)  # 14,400 above 64 * 224 = 14,336: no table
+    @example((240, [41, 1, 1]), 225, 14000, 300)  # 14,400 = 64 * 225: a table, wrapping at 14,400
     def test_a_search_checks_exactly_the_moduli_the_rule_admits(self, family, n, extra, width):
         k, coeffs = family
         f = lcm_family(200, coeffs) if k == "lcm" else P(*coeffs).scale(k)
-        path = discriminator._Values(f, n)
-        c, lower = path.c, n + extra
-        end = lower + width
-        checked = []
-
-        def death(m):  # reject every modulus in the window, accept the first past it
-            checked.append(m)
-            return n if m >= end else 0
-
-        path.at = lambda _: death
+        flat, lower = discriminator.FLAT_TABLE_FACTOR * n, n + extra
         with mock.patch.object(discriminator, "factorize", wraps=discriminator.factorize) as factorize:
-            discriminator._least_modulus(path, lower, n)
-        assert [m for m in checked if m < end] == [m for m in range(lower, end) if admitted(m, c, n)]
-        # the table is built, and c factored, only when the search pays for it
-        assert all(2 * call.args[0] <= lower for call in factorize.call_args_list)
-        built = 1 < c and 2 * c <= lower and c * radical(c) <= lower
+            path = discriminator._Values(f, n)
+        c = path.c
+        assert all(2 * call.args[0] <= flat for call in factorize.call_args_list)
+        # the path decides its table when it is built: a search factors and builds nothing
+        with mock.patch.object(discriminator, "factorize", side_effect=AssertionError("factored")), \
+                mock.patch.object(discriminator, "_classes", side_effect=AssertionError("built")):
+            checked = searched(path, lower, n, width)
+        assert checked == [m for m in range(lower, lower + width) if admitted(m, c, n)]
+        # c <= flat first, so that a c of 91 digits is never factored by trial division
+        built = 1 < c <= flat and c * radical(c) <= flat
         assert (path.keep is not None) == built
-        if built:
-            assert len(path.keep) == c * radical(c)
+        if built:  # never longer than the stamp list's bound
+            assert len(path.keep) == c * radical(c) <= flat
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 80))
@@ -831,18 +849,19 @@ class TestClassTable:
     def test_the_table_is_the_prime_test(self, c):
         # the skip line would mend a table that keeps too much, so the table
         # itself must be exact: r marked 1 exactly when m = r mod its period
-        # is the least of its class
+        # is the least of its class. c x has common difference c, and a path
+        # for n_max >= c rad(c) / 64 builds the table.
         period = c * radical(c)
-        keep = discriminator._classes(period, discriminator.factorize(c))
+        keep = discriminator._Values(P(0, c), max(2, -(-period // discriminator.FLAT_TABLE_FACTOR))).keep
         assert len(keep) == period
         assert list(keep) == [least_of_class(period + r, c) == period + r for r in range(period)]
 
     @pytest.mark.parametrize(
         "f, n_max",
         [
-            (parse_polynomial("(x^2+x+41)^4"), 300),  # c = 240, period 7,200: the table from the search at 8,540 on
-            (P(-8, 9, -4, 4, 3).scale(8), 14),  # c = 16, period 32: the table from the search at 38 on
-            (P(-6, 8, -4, -2, -1).scale(9), 14),  # c = 9, period 27: the table from the search at 30 on
+            (parse_polynomial("(x^2+x+41)^4"), 300),  # c = 240, period 7,200 <= 64 * 300: every search enters the table
+            (P(-8, 9, -4, 4, 3).scale(8), 14),  # c = 16, period 32
+            (P(-6, 8, -4, -2, -1).scale(9), 14),  # c = 9, period 27
         ],
         ids=["(x^2+x+41)^4", "8(3x^4+4x^3-4x^2+9x-8)", "9(-x^4-2x^3-4x^2+8x-6)"],
     )

@@ -8,7 +8,9 @@ run ends within its time limit, exits 0, writes nothing to stderr and prints
 the pinned bytes: every table row, note and verdict line. A check is added by
 adding an entry; tests/test_long_checks.py, in tier-1, checks that every
 entry parses. Tier-1 does not collect this file, since its runs take seconds
-to minutes.
+to minutes. The module-level pytest_generate_tests hook parametrizes
+test_check over CHECKS, so the file imports with the standard library alone
+and a stdlib-only script can read CHECKS.
 """
 
 import hashlib
@@ -17,8 +19,6 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,8 +84,9 @@ CHECKS = (
         ("scan", "--poly", "(x^2+x+41)^4", "--n-max", "1500"),
         120,
         "7659fda464c803e8cd724566ed316d3172b785068bc485b6f135aee11a0b546a",
-        "the value path beyond tier-1: 240 divides every difference, so the class table drops"
-        " moduli from 7,200 on, and the last value, 147,419 > 64 * 1481, is walked in a dict;"
+        "the value path beyond tier-1: 240 divides every difference, so the class table, of period"
+        " 7,200, drops moduli from the first search on, and the last value, 147,419 > 64 * 1481,"
+        " is walked in a dict;"
         " 49 lines, the last 1481,1500,147419,prime",
     ),
     Check(
@@ -127,7 +128,11 @@ CHECKS = (
 )
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda check: " ".join(check.argv))
+def pytest_generate_tests(metafunc):
+    if "check" in metafunc.fixturenames:
+        metafunc.parametrize("check", CHECKS, ids=[" ".join(check.argv) for check in CHECKS])
+
+
 def test_check(check):
     run = subprocess.run(
         [sys.executable, "-m", "polydisc.cli", *check.argv],
