@@ -16,10 +16,10 @@ multiple of u and d >= 3u has a twin with the same s, d - 2u and a smaller
 l, so T(m) is the least l = k + d over the divisors u of m, d in {u, 2u}
 and k >= 1 with m / u | 2a k + a d + b (`_pair_time`); u = m gives the
 pigeonhole bound T(m) <= m + 1. `_death_time` tries u = 1, then the part of
-m built from a's primes, then every divisor below the least l found so far,
-the small ones by trial division before it factors m, and a rejection stops
-at the first l <= n. The values collide exactly when a s + b = 0 for an
-integer s >= 3, from n = s // 2 + 1 on.
+m built from a's primes, then every divisor u with u + 1 below the least l
+found so far, in pairs (u, m / u) by one walk up to sqrt(m), and a
+rejection stops at the first l <= n. The values collide exactly when
+a s + b = 0 for an integer s >= 3, from n = s // 2 + 1 on.
 
 Most candidates die at u = 1, where l = s // 2 + 1 for the least s >= 3
 with m | a s + b. Once m > 3a + b >= 1 (with a > 0, negating f if need be),
@@ -88,7 +88,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from itertools import chain, compress, count, cycle, repeat
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .ntheory import factorize
@@ -135,15 +135,6 @@ FLAT_TABLE_FACTOR = 64
 # interpreter the scrambled order of values[:n] depends on n alone, and
 # nothing is kept between calls.
 _SCRAMBLE_SEED = 0x5EED
-
-# `_death_time` tries the divisors u < _SMALL_U of m by trial division before
-# it factors m: in scan(x(29x-1), 3000), 172 of the 243 candidates that die
-# in the divisor stage die at u = 3, 4 or 5. In process, against factoring
-# first, that took 0.68 of the time of scan(x(29x-1), 3000), 0.64 at 10^6 and
-# 0.50 of scan(x(x-1), 20000) (CPython 3.11, x86-64); bounds from 16 to 64
-# timed within 10% of one another.
-_SMALL_U = 24
-
 
 def is_discriminating(values: Sequence[int], m: int, stamps: list[int] | dict[int, int] | None = None) -> bool:
     """True iff the integers in `values` are pairwise distinct mod m.
@@ -261,7 +252,14 @@ def _cofactors(a: int, b: int) -> list[int]:
 
 def _death_time(a: int, b: int, m: int, n: int) -> int:
     """T(m) for f = a x^2 + b x + e when T(m) > n, else some l <= n at which
-    f(1..l) collide mod m, by the module docstring's stages. n = 0 gives T(m)."""
+    f(1..l) collide mod m, by the module docstring's stages. n = 0 gives T(m).
+
+    Let best0 be the least l after the u = 1 and a-part stages. The walk
+    takes u from 2 to min(isqrt(m), best0 - 2), odd u alone when m is odd,
+    and tries each divisor v in (u, m / u) while v + 1 < best, as d >= v
+    gives l >= v + 1. It misses no divisor that could lower best: a v with
+    v + 1 < best <= best0 is either such a u, when v <= sqrt(m), or the
+    cofactor of one, as m / v < v <= best0 - 2 when v > sqrt(m)."""
     a, b = a % m, b % m
     h, best = gcd(a, m), m + 1
     if b % h == 0:  # u = 1: l = s // 2 + 1 for the least s = l + k >= 3 with m | a s + b
@@ -276,20 +274,13 @@ def _death_time(a: int, b: int, m: int, n: int) -> int:
         best = min(best, _pair_time(a, b, m, m // rest))
         if best <= n:
             return best
-    for u in range(2, min(_SMALL_U, best - 1)):  # l >= d + 1 >= u + 1
-        if m % u == 0:
-            best = min(best, _pair_time(a, b, m, u))
-            if best <= n:
-                return best
-    divisors = [1]
-    for p, e in factorize(m):
-        divisors += [q * p ** i for q in divisors for i in range(1, e + 1)]
-    for u in sorted(u for u in divisors if u >= _SMALL_U):
-        if u + 1 >= best:
-            break
-        best = min(best, _pair_time(a, b, m, u))
-        if best <= n:
-            break
+    # the divisor pairs (u, m / u), u <= sqrt(m); an odd m has odd divisors alone
+    for u in (u for u in range(2 + m % 2, min(isqrt(m), best - 2) + 1, 1 + m % 2) if m % u == 0):
+        for v in (u, m // u):
+            if v + 1 < best:  # l >= d + 1 >= v + 1
+                best = min(best, _pair_time(a, b, m, v))
+                if best <= n:
+                    return best
     return best
 
 
@@ -387,7 +378,8 @@ class _Quadratic:
     no candidate is checked in full, so `tested` stays 0. A test at n returns
     `_death_time` less 1: T(m) - 1, not capped at n_max, when T(m) > n, as
     the accepting test takes the exact minimum over the divisors of m. So
-    the death needs no second computation, and no modulus is factored twice.
+    the death needs no second computation, and no modulus's divisors are
+    walked twice.
 
     The path keeps a > 0, negating a and b when a < 0, since -f has the same
     collisions mod every m.

@@ -20,6 +20,7 @@ from polydisc import (
     compute,
     discriminator,
     is_discriminating,
+    ntheory,
     parse_polynomial,
     scan,
     trivial_upper_bound,
@@ -885,6 +886,41 @@ def death_time(f, m):
         seen.add(r)
 
 
+def reference_death_time(a, b, m, n):
+    """`_death_time` by stages: u = 1, the part of m built from a's primes,
+    the divisors below 24 by trial division, then every other divisor of m
+    from its factorization, in rising order."""
+    a, b = a % m, b % m
+    h, best = math.gcd(a, m), m + 1
+    if b % h == 0:
+        step = m // h
+        best = (3 + (-(b // h) * pow(a // h, -1, step) - 3) % step) // 2 + 1
+        if best <= n:
+            return best
+    rest = m
+    while (g := math.gcd(rest, a)) > 1:
+        rest //= g
+    if rest < m:
+        best = min(best, discriminator._pair_time(a, b, m, m // rest))
+        if best <= n:
+            return best
+    for u in range(2, min(24, best - 1)):
+        if m % u == 0:
+            best = min(best, discriminator._pair_time(a, b, m, u))
+            if best <= n:
+                return best
+    divisors = [1]
+    for p, e in ntheory.factorize(m):
+        divisors += [q * p ** i for q in divisors for i in range(1, e + 1)]
+    for u in sorted(u for u in divisors if u >= 24):
+        if u + 1 >= best:
+            break
+        best = min(best, discriminator._pair_time(a, b, m, u))
+        if best <= n:
+            break
+    return best
+
+
 NONZERO = st.integers(-60, 60).filter(bool)
 HUGE = st.integers(-10 ** 30, 10 ** 30)
 
@@ -909,7 +945,7 @@ class TestDeathTime:
     @example(1, -3, 7, 0)  # x(x-3): f(1) = f(2), an exact repeat
     @example(29, -1, 841, 0)  # 29^2: no s at u = 1; u = 841, the part built from a's primes, gives 842
     @example(1, -1, 2 ** 7 * 3 ** 2 * 5, 0)  # x(x-1) at a smooth m: every divisor is tried
-    @example(2, -1, 196, 0)  # u = 4, found by trial division, gives 39; the factored u = 28 gives 30
+    @example(2, -1, 196, 0)  # u = 4, the a-part, gives 39; 28, the walk's cofactor of u = 7, gives 30
     @example(2, -1, 196, 35)  # the same, as a rejection: 39 > 35 does not stop the test
     def test_equals_the_first_repeated_residue(self, a, b, m, n):
         # T(m) when it exceeds n, else some l <= n at which f(1..l) collide
@@ -920,6 +956,30 @@ class TestDeathTime:
             assert got == expected
         else:
             assert expected <= got <= n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(NONZERO, HUGE.filter(bool)),
+        st.one_of(st.integers(-60, 60), HUGE),
+        st.one_of(st.integers(1, 10 ** 4), st.integers(1, 10 ** 9)),
+        st.one_of(st.integers(0, 80), st.integers(0, 10 ** 9)),
+    )
+    @example(1, -1, 999983, 0)  # a prime m: no divisor but 1 and m
+    @example(2, -1, 999983 ** 2, 0)  # u * u == m: the walk meets 999,983 as u and as its own cofactor
+    @example(2, -1, 2 * 999983, 0)  # the walk's only divisor pair below sqrt(m) is (2, 999,983)
+    @example(1, -1, 4849845, 0)  # 3 * 5 * 7 * ... * 19: odd and smooth, so the walk steps by 2
+    @example(1, -1, 2 ** 20, 0)  # a prime power: every u the walk tries is a power of 2
+    @example(3, -1, 2 * 3 ** 12, 0)  # the a-part, 3^12, is the largest divisor below m, the cofactor of u = 2
+    @example(1, -10, 4, 0)  # x(x-10): u = 1 gives 4, and u = 2, at both ends of the walk, gives T = 3
+    def test_agrees_with_the_staged_reference(self, a, b, m, n):
+        # moduli up to 10^9, far past reading residues: the exact T(m) when it
+        # exceeds n, else an l <= n no earlier than T(m)
+        expected = reference_death_time(a, b, m, n)
+        got = discriminator._death_time(a, b, m, n)
+        if expected > n:
+            assert got == expected
+        else:
+            assert reference_death_time(a, b, m, 0) <= got <= n
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -963,13 +1023,17 @@ class TestDeathTime:
         assert d_values(scan(x_dx_minus_1(29), 40)) == d_values(scan(P(5, -1, 29), 40))
         assert compute(P(0, 24, -3), 5) == Run(5, 5, None, 0)  # f(3) = f(5)
 
-    def test_a_scan_factors_each_modulus_once(self):
-        # the accepting test's death time is the walk's: no modulus is factored twice
-        with mock.patch.object(discriminator, "factorize", wraps=discriminator.factorize) as factorize:
-            runs = scan(x_dx_minus_1(29), 3000)
-        factored = [call.args[0] for call in factorize.call_args_list]
-        assert len(factored) == len(set(factored))
-        assert {run.value for run in runs} - {1} <= set(factored)
+    def test_a_quadratic_search_factors_no_modulus(self):
+        # the divisor walk finds every divisor it needs, and the accepting
+        # test's death time is the walk's: no modulus reaches _death_time twice
+        for f, n_max in ((x_dx_minus_1(29), 3000), (P(0, -1, 1), 2000), (P(0, -1, 2), 2000)):
+            with mock.patch.object(discriminator, "factorize", side_effect=AssertionError("factored")), \
+                    mock.patch.object(discriminator, "_death_time", wraps=discriminator._death_time) as death:
+                runs = scan(f, n_max)
+                walked = [call.args[2] for call in death.call_args_list]
+                compute(f, n_max)
+            assert len(walked) == len(set(walked))
+            assert {run.value for run in runs} - {1} <= set(walked)
 
     def test_other_degrees_never_take_a_death_time(self):
         with mock.patch.object(discriminator, "_death_time", side_effect=AssertionError) as death:

@@ -32,4 +32,4 @@ def test_the_list_imports_with_the_standard_library_alone():
         "print('pytest' in sys.modules, len(module.CHECKS))"
     )
     run = subprocess.run([sys.executable, "-S", "-c", code, str(TOOL)], capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stderr, run.stdout) == (0, "", "False 13\n")
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "False 14\n")

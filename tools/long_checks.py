@@ -77,8 +77,16 @@ CHECKS = (
         ("scan", "--poly", "x^2-x", "--n-max", "100000"),
         120,
         "9218ce1d5b3b5ecef21e14cf7097b8a58a65f66743be0b6bdc610088defdd7ed",
-        "a = 1 gets no help from the u = 1 sieve, so every candidate reaches the divisor stage"
-        " and ntheory.factorize; 17,995 lines, the last 99985,100000,199999,prime",
+        "a = 1 gets no help from the u = 1 sieve, so every candidate reaches the divisor stage;"
+        " 17,995 lines, the last 99985,100000,199999,prime",
+    ),
+    Check(
+        ("scan", "--poly", "x^2-x", "--n-max", "1000000"),
+        120,
+        "cf052ab641a13e8256a0a9815aa9093aae8d1ac1fb51b5a5d4bc8f84e6da47a2",
+        "where the divisor walk works hardest: a = 1 gets no u = 1 sieve, and a prime m that"
+        " survives u = 1 is walked in odd steps to sqrt(m); 148,947 lines, the last"
+        " 999998,1000000,2000003,prime",
     ),
     Check(
         ("scan", "--poly", "(x^2+x+41)^4", "--n-max", "1500"),
