@@ -16,10 +16,10 @@ multiple of u and d >= 3u has a twin with the same s, d - 2u and a smaller
 l, so T(m) is the least l = k + d over the divisors u of m, d in {u, 2u}
 and k >= 1 with m / u | 2a k + a d + b (`_pair_time`); u = m gives the
 pigeonhole bound T(m) <= m + 1. `_death_time` tries u = 1, then the part of
-m built from a's primes, then every divisor u with u + 1 below the least l
-found so far, in pairs (u, m / u) by one walk up to sqrt(m), and a
-rejection stops at the first l <= n. The values collide exactly when
-a s + b = 0 for an integer s >= 3, from n = s // 2 + 1 on.
+m built from a's primes, then, for a composite m, every divisor u with u + 1
+below the least l found so far, in pairs (u, m / u) by one walk up to
+sqrt(m), and a rejection stops at the first l <= n. The values collide
+exactly when a s + b = 0 for an integer s >= 3, from n = s // 2 + 1 on.
 
 Most candidates die at u = 1, where l = s // 2 + 1 for the least s >= 3
 with m | a s + b. Once m > 3a + b >= 1 (with a > 0, negating f if need be),
@@ -91,7 +91,7 @@ from itertools import chain, compress, count, cycle, repeat
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional, Sequence
 
-from .ntheory import factorize
+from .ntheory import factorize, is_prime
 from .poly import Polynomial
 
 
@@ -253,13 +253,17 @@ def _cofactors(a: int, b: int) -> list[int]:
 def _death_time(a: int, b: int, m: int, n: int) -> int:
     """T(m) for f = a x^2 + b x + e when T(m) > n, else some l <= n at which
     f(1..l) collide mod m, by the module docstring's stages. n = 0 gives T(m).
+    a and b are reduced mod m once per call, so a coefficient of 300,000
+    digits costs its digits once per candidate, not once per value.
 
-    Let best0 be the least l after the u = 1 and a-part stages. The walk
-    takes u from 2 to min(isqrt(m), best0 - 2), odd u alone when m is odd,
-    and tries each divisor v in (u, m / u) while v + 1 < best, as d >= v
-    gives l >= v + 1. It misses no divisor that could lower best: a v with
-    v + 1 < best <= best0 is either such a u, when v <= sqrt(m), or the
-    cofactor of one, as m / v < v <= best0 - 2 when v > sqrt(m)."""
+    Let best0 be the least l after the u = 1 and a-part stages. A prime m
+    has no divisor in 2..sqrt(m), so `ntheory.is_prime` ends its test there
+    and the walk runs on composites alone. The walk takes u from 2 to
+    min(isqrt(m), best0 - 2), odd u alone when m is odd, and tries each
+    divisor v in (u, m / u) while v + 1 < best, as d >= v gives l >= v + 1.
+    It misses no divisor that could lower best: a v with v + 1 < best <=
+    best0 is either such a u, when v <= sqrt(m), or the cofactor of one, as
+    m / v < v <= best0 - 2 when v > sqrt(m)."""
     a, b = a % m, b % m
     h, best = gcd(a, m), m + 1
     if b % h == 0:  # u = 1: l = s // 2 + 1 for the least s = l + k >= 3 with m | a s + b
@@ -274,6 +278,8 @@ def _death_time(a: int, b: int, m: int, n: int) -> int:
         best = min(best, _pair_time(a, b, m, m // rest))
         if best <= n:
             return best
+    if is_prime(m):  # no divisor in 2..sqrt(m) to walk
+        return best
     # the divisor pairs (u, m / u), u <= sqrt(m); an odd m has odd divisors alone
     for u in (u for u in range(2 + m % 2, min(isqrt(m), best - 2) + 1, 1 + m % 2) if m % u == 0):
         for v in (u, m // u):

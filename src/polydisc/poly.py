@@ -158,7 +158,10 @@ MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """One re.finditer pass: each decimal run, symbol or x is a token, any other non-space an error."""
+    """One re.finditer pass: each decimal run, symbol or x is a token, any other non-space an error.
+
+    The pattern goes to re.finditer as a string, so re's cache compiles it at
+    the first parse, not at import, and a run that parses no text skips it."""
     tokens = []
     # \d matches what str.isdecimal accepts and \S what str.isspace refuses,
     # so whitespace matches no group and finditer's search steps over it
@@ -207,6 +210,8 @@ class _Parser:
         return acc
 
     def factor(self) -> Polynomial:
+        """A run of unary minus, such as ---x, is counted in a loop, not read by
+        recursion, so no length of it raises RecursionError."""
         start = self.i
         while self.peek()[0] == "-":
             self.i += 1

@@ -971,6 +971,8 @@ class TestDeathTime:
     @example(1, -1, 2 ** 20, 0)  # a prime power: every u the walk tries is a power of 2
     @example(3, -1, 2 * 3 ** 12, 0)  # the a-part, 3^12, is the largest divisor below m, the cofactor of u = 2
     @example(1, -10, 4, 0)  # x(x-10): u = 1 gives 4, and u = 2, at both ends of the walk, gives T = 3
+    @example(3 * 1009, -1, 1009, 0)  # a prime that divides a: the a-part, m itself, then the primality gate
+    @example(1, -1, 1000003, 1000000)  # a prime just above n, alive at n: the gate returns T(m) unwalked
     def test_agrees_with_the_staged_reference(self, a, b, m, n):
         # moduli up to 10^9, far past reading residues: the exact T(m) when it
         # exceeds n, else an l <= n no earlier than T(m)
@@ -980,6 +982,16 @@ class TestDeathTime:
             assert got == expected
         else:
             assert reference_death_time(a, b, m, 0) <= got <= n
+
+    def test_a_prime_modulus_is_not_walked(self, monkeypatch):
+        # a prime has no divisor in 2..sqrt(m), so its test ends before the walk's isqrt
+        expected = reference_death_time(1, -1, 999983, 0)
+
+        def refuse(m):
+            raise AssertionError(f"walked the divisors of {m}")
+
+        monkeypatch.setattr(discriminator, "isqrt", refuse)
+        assert discriminator._death_time(1, -1, 999983, 0) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -84,9 +84,9 @@ CHECKS = (
         ("scan", "--poly", "x^2-x", "--n-max", "1000000"),
         120,
         "cf052ab641a13e8256a0a9815aa9093aae8d1ac1fb51b5a5d4bc8f84e6da47a2",
-        "where the divisor walk works hardest: a = 1 gets no u = 1 sieve, and a prime m that"
-        " survives u = 1 is walked in odd steps to sqrt(m); 148,947 lines, the last"
-        " 999998,1000000,2000003,prime",
+        "where the divisor walk works hardest: a = 1 gets no u = 1 sieve, a prime m that survives"
+        " u = 1 is passed by ntheory.is_prime unwalked, and only a composite one is walked to sqrt(m);"
+        " 148,947 lines, the last 999998,1000000,2000003,prime",
     ),
     Check(
         ("scan", "--poly", "(x^2+x+41)^4", "--n-max", "1500"),
