@@ -1,15 +1,29 @@
-"""Value classification, run-length tables, and empirical theorem checks."""
+"""The paper's statements checked against the brute-force oracle, and the
+tables that print its runs.
+
+Every formula of `closedform` is compared with the oracle's runs in one
+place, `_mismatches`: Theorems 1, 2 and 5 (`verify_theorem`), Conjecture 1
+(`check_conjecture1`) and the prime families (`family_primes`). Theorem 3
+has no formula and is checked modulus by modulus (`check_theorem3`), and
+Theorem 4 by seeded random instances of `closedform.check_theorem4`. The
+tables are run-length rows (`run_length_table`), classified against a prime
+(`classify_value`) and printed as CSV or LaTeX.
+"""
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
-from functools import partial
+import random
+from functools import cache, partial
 from itertools import zip_longest
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import ntheory
-from .closedform import _mismatches, bsw_discriminator, prime_power_family, sample_sandwich_trials, sun_power_formula, x_dx_minus_1
+from .closedform import PrimeFamily, SandwichReport, bsw_discriminator, check_theorem4, prime_power_family
+from .closedform import sun_power_formula, sun_prime_discriminator, x_dx_minus_1
 from .discriminator import Run, _first_repeat, _scramble, is_discriminating, scan
 from .poly import Polynomial
 
@@ -126,6 +140,24 @@ def emit_latex(rows: Sequence[tuple[int, int, int]], poly_text: str, n_max: int)
     return "\n".join(lines) + "\n"
 
 
+def _mismatches(runs: Iterable[Run], formula: Callable[[int], int]) -> Iterator[tuple[int, int, int]]:
+    """(n, value, formula(n)) for each n of `runs` where `formula` differs
+    from the value of the run that holds n, in the runs' order.
+
+    The formula must be nondecreasing in n, while a run holds one value. So
+    where the formula equals that value at both ends of a run, it is
+    squeezed to it at every n between, and the run is read at its ends
+    only; only a run that differs at an end is read n by n.
+    """
+    for n_low, n_high, value, _ in runs:
+        if formula(n_high) == value and (n_low == n_high or formula(n_low) == value):
+            continue
+        for n in range(n_low, n_high + 1):
+            expected = formula(n)
+            if expected != value:
+                yield n, value, expected
+
+
 def check_conjecture1(p: int, r: int, n_max: int) -> list[tuple[int, int, Kind]]:
     """Exceptions to "D is prime or p^ceil(log_p n)" for f = x(p^r x - 1), as
     (n, D_f(n), its `classify_value` Kind) triples in order of n.
@@ -133,22 +165,64 @@ def check_conjecture1(p: int, r: int, n_max: int) -> list[tuple[int, int, Kind]]
     The conjectured form is read as a genuine prime power, p^max(1,
     ceil(log_p n)), so the unit value 1 (D at n = 1 only) is always reported
     as an exception even though it equals p^0. Each non-prime run of the
-    oracle scan is compared with that form by `closedform._mismatches`: the
-    form is nondecreasing in n, so a run that matches it at both ends matches
-    at every n. An empty tail is evidence, never proof. The family comes from
+    oracle scan is compared with that form by `_mismatches`: the form is
+    nondecreasing in n, so a run that matches it at both ends matches at
+    every n. A run's value is classified once, at its first exception. An
+    empty tail is evidence, never proof. The family comes from
     `closedform.prime_power_family`, which proves p prime (once per call) and
     caps r before anything is scanned.
     """
-    exceptions: list[tuple[int, int, Kind]] = []
-    for run in scan(prime_power_family(p, r), n_max):
-        if ntheory.is_prime(run.value):
-            continue
-        kind = _classify(run.value, p)
-        # lemma1_bound(p, r, n) from n = 2 on, without proving p prime again
-        exceptions += [
-            (n, run.value, kind) for n, _ in _mismatches(run, lambda n: p ** max(1, ntheory.ceil_log(p, n)))
-        ]
-    return exceptions
+    runs = (run for run in scan(prime_power_family(p, r), n_max) if not ntheory.is_prime(run.value))
+    kind = cache(partial(_classify, p=p))  # run values differ, so one classification per run
+    # lemma1_bound(p, r, n) from n = 2 on, without proving p prime again
+    exceptions = _mismatches(runs, lambda n: p ** max(1, ntheory.ceil_log(p, n)))
+    return [(n, value, kind(value)) for n, value, _ in exceptions]
+
+
+# The prime-family formulas are verified from this n onward; the 4x(4x-1)
+# and 18x(3x-1) forms disagree with the oracle below it.
+FAMILY_VALID_FROM = 5
+
+
+def _formula_runs(family: PrimeFamily, n: int) -> Iterator[tuple[int, int]]:
+    """(n_low, p) for each run of the formula from `n` on, one per prime: p
+    is the formula's value from n_low up to the next run's n_low.
+
+    The threshold floor((a n + b) / c) does not decrease, and p exceeds it
+    exactly while a n <= c p - b - 1. So p holds from n_low through
+    (c p - b - 1) // a, and the next prime's run starts one past that.
+    """
+    while True:
+        p = sun_prime_discriminator(family, n)
+        yield n, p
+        n = (family.c * p - family.b - 1) // family.a + 1
+
+
+def family_primes(
+    family: PrimeFamily, count: int
+) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
+    """The first `count` distinct formula values from n = FAMILY_VALID_FROM on.
+
+    The formula is walked prime by prime (`_formula_runs`), so it is
+    evaluated once per prime, and one oracle scan runs to the first n of the
+    last prime. The oracle's runs, clipped to n >= FAMILY_VALID_FROM, are
+    compared by `_mismatches` with the formula as read off the walk: the
+    prime of the walked run that holds n. That reading is nondecreasing in
+    n, so an oracle run that matches it at both ends matches at every n.
+    Returns the primes and the (n, formula, oracle) mismatches, which the
+    theorem predicts are none.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    runs = [run for _, run in zip(range(count), _formula_runs(family, FAMILY_VALID_FROM))]
+    primes = [p for _, p in runs]
+
+    def formula(n: int) -> int:
+        return primes[bisect.bisect_right(runs, n, key=itemgetter(0)) - 1]
+
+    oracle = (run for run in scan(family.polynomial, runs[-1][0]) if run.n_high >= FAMILY_VALID_FROM)
+    clipped = (run._replace(n_low=max(run.n_low, FAMILY_VALID_FROM)) for run in oracle)
+    return primes, [(n, expected, value) for n, value, expected in _mismatches(clipped, formula)]
 
 
 def check_theorem3(n_max: int) -> list[tuple[int, int]]:
@@ -210,13 +284,30 @@ def _check_formulas(cases: Sequence[tuple[str, Polynomial, Callable[[int], int]]
     known = {(f"j={j}", *entry) for j, entries in KNOWN_POWER_FORMULA_EXCEPTIONS.items() for entry in entries}
     notes = []
     for label, f, formula in cases:
-        for run in scan(f, n_max):
-            for n, expected in _mismatches(run, formula):
-                detail = f"{label} n={n}: oracle {run.value}, formula {expected}"
-                if (label, n, run.value, expected) not in known:
-                    return Verdict(False, f"counterexample {detail}")
-                notes.append(f"known small-n exception {detail}")
+        for n, value, expected in _mismatches(scan(f, n_max), formula):
+            detail = f"{label} n={n}: oracle {value}, formula {expected}"
+            if (label, n, value, expected) not in known:
+                return Verdict(False, f"counterexample {detail}")
+            notes.append(f"known small-n exception {detail}")
     return Verdict(True, claim.format(n_max=n_max, notes=len(notes)), tuple(notes))
+
+
+SANDWICH_MAX_DEGREE = 3
+SANDWICH_COEFF_BOUND = 9
+SANDWICH_PRIMES = (2, 3, 5)
+SANDWICH_N_MAX = 40
+
+
+def sample_sandwich_trials(count: int, seed: int) -> Iterator[SandwichReport]:
+    """Seeded random (f, p, n) sandwich checks for property testing."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(0, SANDWICH_MAX_DEGREE)
+        coeffs = [rng.randint(-SANDWICH_COEFF_BOUND, SANDWICH_COEFF_BOUND) for _ in range(degree + 1)]
+        f = Polynomial.from_coeffs(coeffs)
+        p = rng.choice(SANDWICH_PRIMES)
+        n = rng.randint(1, SANDWICH_N_MAX)
+        yield check_theorem4(f, p, n)
 
 
 def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAULT_SEED) -> Verdict:

@@ -92,7 +92,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    primes, mismatches = closedform.family_primes(closedform.FAMILIES[args.family], args.count)
+    primes, mismatches = analysis.family_primes(closedform.FAMILIES[args.family], args.count)
     for n, formula, oracle in mismatches:
         print(f"mismatch at n={n}: formula {formula}, oracle {oracle}", file=sys.stderr)
     for prime in primes:

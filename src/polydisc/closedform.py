@@ -1,16 +1,24 @@
-"""Closed-form discriminator formulas and bounds, all oracle-checkable."""
+"""The paper's statements in closed form, each a function of n to check
+against the brute-force oracle.
+
+Sun's (2013) D = d^ceil(log_d n) for x(dx - 1) with d in {2, 3}, and its
+d = 2^r extension (`sun_power_formula`); Lemma 1's bound (`lemma1_bound`);
+the Bremser-Schumer-Washington characterization for x^j
+(`bsw_discriminator`); and the three prime families behind the paper's
+method for generating primes (`FAMILIES`, `sun_prime_discriminator`).
+Theorem 4's sandwich has no closed form, so `check_theorem4` checks one
+instance with two oracle calls. The checks that compare these formulas with
+the oracle's runs live in `analysis`.
+"""
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import random
 from math import gcd, prod
-from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import ntheory
-from .discriminator import Run, compute, scan
+from .discriminator import compute
 from .poly import MAX_EXPONENT, Polynomial
 
 
@@ -119,70 +127,6 @@ def sun_prime_discriminator(family: PrimeFamily, n: int) -> int:
     return ntheory.next_prime_satisfying((family.a * n + family.b) // family.c, family.residue, family.modulus)
 
 
-# The prime-family formulas are verified from this n onward; the 4x(4x-1)
-# and 18x(3x-1) forms disagree with the oracle below it.
-FAMILY_VALID_FROM = 5
-
-
-def _mismatches(run: Run, formula: Callable[[int], int]) -> Iterator[tuple[int, int]]:
-    """(n, formula(n)) for each n of `run` where `formula` differs from the
-    run's value, in order of n.
-
-    The formula must be nondecreasing in n, while a run holds one value. So
-    where the formula equals that value at both ends of the run, it is
-    squeezed to it at every n between, and the run is read at its ends
-    only; only a run that differs at an end is read n by n.
-    """
-    n_low, n_high, value, _ = run
-    if formula(n_high) == value and (n_low == n_high or formula(n_low) == value):
-        return
-    for n in range(n_low, n_high + 1):
-        expected = formula(n)
-        if expected != value:
-            yield n, expected
-
-
-def _formula_runs(family: PrimeFamily, n: int) -> Iterator[tuple[int, int]]:
-    """(n_low, p) for each run of the formula from `n` on, one per prime: p
-    is the formula's value from n_low up to the next run's n_low.
-
-    The threshold floor((a n + b) / c) does not decrease, and p exceeds it
-    exactly while a n <= c p - b - 1. So p holds from n_low through
-    (c p - b - 1) // a, and the next prime's run starts one past that.
-    """
-    while True:
-        p = sun_prime_discriminator(family, n)
-        yield n, p
-        n = (family.c * p - family.b - 1) // family.a + 1
-
-
-def family_primes(
-    family: PrimeFamily, count: int
-) -> tuple[list[int], list[tuple[int, int, Optional[int]]]]:
-    """The first `count` distinct formula values from n = FAMILY_VALID_FROM on.
-
-    The formula is walked prime by prime (`_formula_runs`), so it is
-    evaluated once per prime, and one oracle scan runs to the first n of the
-    last prime. Each oracle run, clipped to n >= FAMILY_VALID_FROM, is
-    compared by `_mismatches` with the formula as read off the walk: the
-    prime of the walked run that holds n. That reading is nondecreasing in
-    n, so an oracle run that matches it at both ends matches at every n.
-    Returns the primes and the (n, formula, oracle) mismatches, which the
-    theorem predicts are none.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    runs = [run for _, run in zip(range(count), _formula_runs(family, FAMILY_VALID_FROM))]
-    primes = [p for _, p in runs]
-
-    def formula(n: int) -> int:
-        return primes[bisect.bisect_right(runs, n, key=itemgetter(0)) - 1]
-
-    oracle = (run for run in scan(family.polynomial, runs[-1][0]) if run.n_high >= FAMILY_VALID_FROM)
-    clipped = (run._replace(n_low=max(run.n_low, FAMILY_VALID_FROM)) for run in oracle)
-    return primes, [(n, expected, run.value) for run in clipped for n, expected in _mismatches(run, formula)]
-
-
 class SandwichReport(NamedTuple):
     """Outcome of checking D_f(n) <= D_{pf}(n) <= p * D_f(n) via the oracle."""
 
@@ -218,21 +162,3 @@ def check_theorem4(f: Polynomial, p: int, n: int) -> SandwichReport:
     else:
         holds = r_pf.value is not None and r_f.value <= r_pf.value <= p * r_f.value
     return SandwichReport(f, p, n, r_f.value, r_pf.value, holds)
-
-
-SANDWICH_MAX_DEGREE = 3
-SANDWICH_COEFF_BOUND = 9
-SANDWICH_PRIMES = (2, 3, 5)
-SANDWICH_N_MAX = 40
-
-
-def sample_sandwich_trials(count: int, seed: int) -> Iterator[SandwichReport]:
-    """Seeded random (f, p, n) sandwich checks for property testing."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        degree = rng.randint(0, SANDWICH_MAX_DEGREE)
-        coeffs = [rng.randint(-SANDWICH_COEFF_BOUND, SANDWICH_COEFF_BOUND) for _ in range(degree + 1)]
-        f = Polynomial.from_coeffs(coeffs)
-        p = rng.choice(SANDWICH_PRIMES)
-        n = rng.randint(1, SANDWICH_N_MAX)
-        yield check_theorem4(f, p, n)

@@ -7,6 +7,7 @@ Python ints and therefore exact at any size.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import zip_longest
 from typing import Iterable, Optional
@@ -109,8 +110,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # square only while bits remain: the last square would be thrown away
+                base = base * base
         return result
 
     def __str__(self) -> str:
@@ -146,15 +148,20 @@ class Polynomial:
 # primary:= INT | 'x' | '(' expr ')'
 #
 # Exponents must be literal nonnegative integers; implicit multiplication
-# is rejected so the grammar stays unambiguous. Expansion is dense, so both
-# the exponent literal and the degree of every product and power are capped
-# and checked before expanding: text like x^99999999 is rejected at once
-# instead of building a hundred-million-term polynomial. Parentheses nest at
-# most MAX_NESTING deep, so no input exhausts Python's recursion limit.
+# is rejected so the grammar stays unambiguous. Expansion is dense, so the
+# exponent literal, and the degree and size of every product and power, are
+# capped and checked before expanding: text like x^99999999 is rejected at
+# once instead of building a hundred-million-term polynomial, and text like
+# ((2^1000)^1000)^1000 instead of building a 10^9-bit coefficient. The size
+# is degree + 1 coefficients times a bound on their bits from the l1 norm
+# (`_log2_norm`), so at most MAX_BITS (512 KiB); the largest admitted power
+# of x + c is (x+17)^1000. Parentheses nest at most MAX_NESTING deep, so no
+# input exhausts Python's recursion limit.
 
 MAX_EXPONENT = 1000
 MAX_DEGREE = 1000
 MAX_NESTING = 100
+MAX_BITS = 2 ** 22
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -205,7 +212,7 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.take()[2]
             rhs = self.factor()
-            _check_degree((acc.degree or 0) + (rhs.degree or 0), pos)
+            _check_size((acc.degree or 0) + (rhs.degree or 0), _log2_norm(acc) + _log2_norm(rhs), pos)
             acc = acc * rhs
         return acc
 
@@ -227,8 +234,9 @@ class _Parser:
             # compare lengths first: int() refuses literals of 4300+ digits
             if len(value.lstrip("0")) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
                 raise PolynomialSyntaxError(f"exponent exceeds the cap {MAX_EXPONENT}", pos)
-            _check_degree((base.degree or 0) * int(value), pos)
-            base = base ** int(value)
+            exponent = int(value)
+            _check_size((base.degree or 0) * exponent, exponent * _log2_norm(base), pos)
+            base = base ** exponent
         return base
 
     def primary(self) -> Polynomial:
@@ -259,9 +267,22 @@ def _too_long(digits: str, pos: int) -> PolynomialSyntaxError:
     )
 
 
-def _check_degree(degree: int, pos: int) -> None:
+def _log2_norm(poly: Polynomial) -> float:
+    """log2 of the l1 norm, the sum of the coefficients' magnitudes (0 for the
+    zero polynomial). No coefficient of P*Q exceeds |P|_1 |Q|_1, and none of
+    P^e exceeds |P|_1^e."""
+    return math.log2(max(1, sum(map(abs, poly.coeffs))))
+
+
+def _check_size(degree: int, log2_norm: float, pos: int) -> None:
+    """Refuse a product or power of degree above MAX_DEGREE, or one whose
+    degree + 1 coefficients, each below 2^log2_norm, could take more than
+    MAX_BITS bits in all."""
     if degree > MAX_DEGREE:
         raise PolynomialSyntaxError(f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
+    bits = (degree + 1) * (int(log2_norm) + 1)
+    if bits > MAX_BITS:
+        raise PolynomialSyntaxError(f"expansion of up to {bits} bits exceeds the cap {MAX_BITS}", pos)
 
 
 def parse_polynomial(text: str) -> Polynomial:

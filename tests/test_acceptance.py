@@ -16,9 +16,9 @@ from polydisc import (
     sun_power_formula,
     x_dx_minus_1,
 )
-from polydisc.closedform import FAMILIES, lemma1_bound, sample_sandwich_trials, sun_prime_discriminator
+from polydisc.closedform import FAMILIES, lemma1_bound, sun_prime_discriminator
 from polydisc.cli import main
-from polydisc.analysis import Kind
+from polydisc.analysis import Kind, sample_sandwich_trials
 
 from tables import (
     POWER_FORMULA_SMALL_N,

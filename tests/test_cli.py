@@ -169,6 +169,12 @@ class TestExitCodes:
         assert (status, out) == (1, "")
         assert err == "error: bad polynomial: exponent exceeds the cap 1000 (at position 2)\n"
 
+    def test_oversized_expansion(self, capsys):
+        # refused before expanding; without the size cap it parses in seconds
+        status, out, err = run(capsys, "compute", "--poly", "(x+2^10)^1000", "--n", "2")
+        assert (status, out) == (1, "")
+        assert err == "error: bad polynomial: expansion of up to 10012002 bits exceeds the cap 4194304 (at position 9)\n"
+
     def test_pseudoprime_p_rejected(self, capsys):
         status, out, err = run(
             capsys, "conjecture", "--family", "p=3317044064679887385961981,r=1", "--n-max", "1"
@@ -232,7 +238,7 @@ class TestFailurePaths:
 
     def test_primes_mismatch_exits_2(self, capsys, monkeypatch):
         # the formula is read at run ends only, so the oracle's runs are perturbed
-        monkeypatch.setattr(closedform, "scan", perturbed_scan(closedform.scan, lambda n: n == 6))
+        monkeypatch.setattr(analysis, "scan", perturbed_scan(analysis.scan, lambda n: n == 6))
         status, out, err = run(capsys, "primes", "--family", "2xx1", "--count", "3")
         assert status == 2
         assert out == "11\n13\n17\n"
@@ -612,6 +618,20 @@ def test_cli_does_no_mathematics():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not {"ntheory", "MAX_EXPONENT"} & imported
     assert not {"ntheory", "is_prime", "MAX_EXPONENT"} & names
+
+
+def test_closedform_states_formulas_and_analysis_checks_them():
+    # closedform calls the oracle only for Theorem 4's one instance; every
+    # comparison of a formula with the oracle's runs is analysis's own code
+    def imported(module, source):
+        with open(os.path.join(os.path.dirname(polydisc.__file__), f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module == source for alias in node.names}
+
+    assert imported("closedform", "discriminator") == {"compute"}
+    assert "discriminator" not in imported("closedform", None)
+    assert not {name for name in imported("analysis", "closedform") if name.startswith("_")}
 
 
 # Random command lines: each command with a random subset of its own flags,

@@ -21,17 +21,9 @@ from polydisc import (
     sun_prime_discriminator,
     x_dx_minus_1,
 )
-from polydisc import closedform, ntheory
-from polydisc.closedform import (
-    EIGHTEEN_X_3XMINUS1,
-    FAMILY_VALID_FROM,
-    FOUR_X_4XMINUS1,
-    TWO_X_XMINUS1,
-    _formula_runs,
-    _mismatches,
-    family_primes,
-    sample_sandwich_trials,
-)
+from polydisc import analysis, closedform, ntheory
+from polydisc.analysis import FAMILY_VALID_FROM, _formula_runs, _mismatches, family_primes, sample_sandwich_trials
+from polydisc.closedform import EIGHTEEN_X_3XMINUS1, FOUR_X_4XMINUS1, TWO_X_XMINUS1
 
 from tables import POWER_FORMULA_SMALL_N, per_n, perturbed_scan
 
@@ -214,7 +206,7 @@ class TestPrimeFamilies:
         # every n with n % 7 == 0, in scan's runs and the cold computes alike
         family = FAMILIES[tag]
         bump = (lambda n: n % 7 == 0) if perturbed else (lambda n: 0)
-        monkeypatch.setattr(closedform, "scan", perturbed_scan(closedform.scan, bump))
+        monkeypatch.setattr(analysis, "scan", perturbed_scan(analysis.scan, bump))
         formula = closedform.sun_prime_discriminator
         oracle = {}
         for count in range(1, 61):
@@ -234,8 +226,8 @@ class TestPrimeFamilies:
     def test_an_oracle_run_reaching_below_the_valid_range_is_compared_from_it(self, monkeypatch):
         # the oracle's run of 11 is made to reach down to n = 4, where the
         # formula is not claimed, so only its n >= FAMILY_VALID_FROM count
-        monkeypatch.setattr(closedform, "scan", perturbed_scan(closedform.scan, lambda n: 4 * (n == 4)))
-        assert closedform.scan(TWO_X_XMINUS1.polynomial, 8)[3] == Run(4, 6, 11, 0)
+        monkeypatch.setattr(analysis, "scan", perturbed_scan(analysis.scan, lambda n: 4 * (n == 4)))
+        assert analysis.scan(TWO_X_XMINUS1.polynomial, 8)[3] == Run(4, 6, 11, 0)
         assert family_primes(TWO_X_XMINUS1, 3) == ([11, 13, 17], [])
 
     @pytest.mark.parametrize("count", [0, -1])
@@ -295,8 +287,10 @@ class TestMismatches:
             calls.append(n)
             return values[n - 1]
 
-        expected = [(n, values[n - 1]) for n in range(run.n_low, run.n_high + 1) if values[n - 1] != run.value]
-        assert list(_mismatches(run, formula)) == expected
+        expected = [
+            (n, run.value, values[n - 1]) for n in range(run.n_low, run.n_high + 1) if values[n - 1] != run.value
+        ]
+        assert list(_mismatches([run], formula)) == expected
         if values[run.n_low - 1] == values[run.n_high - 1] == run.value:
             # a run that matches at both ends is read at its ends only
             assert sorted(set(calls)) == sorted({run.n_low, run.n_high})

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from polydisc.poly import (
+    MAX_BITS,
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
@@ -145,6 +147,23 @@ class TestParse:
             parse_polynomial(f"x^{MAX_DEGREE} * x")
         assert exc.value.position == len(f"x^{MAX_DEGREE} ")
 
+    def test_size_cap(self):
+        # |P^e|_1 <= |P|_1^e and |P*Q|_1 <= |P|_1 |Q|_1 bound every coefficient
+        # before expanding; each refused text parses in seconds without the cap
+        assert MAX_BITS == 2 ** 22
+        assert parse_polynomial("((2^1000)^1000)^4") == P(2 ** 4_000_000)  # 4,000,001 bits
+        assert parse_polynomial("(10^1000)^5*x") == P(0, 10 ** 5000)
+        product = "*".join(["(2^1000)^1000"] * 5)
+        for text, position, bits in [
+            ("((2^1000)^1000)^5", 16, 5_000_001),
+            (product, product.index("*", 50), 5_000_001),
+            ("(x+18)^1000", 7, 1001 * 4248),  # log2(19) * 1000 = 4247.9
+        ]:
+            with pytest.raises(PolynomialSyntaxError) as exc:
+                parse_polynomial(text)
+            assert exc.value.position == position
+            assert str(exc.value) == f"expansion of up to {bits} bits exceeds the cap {MAX_BITS} (at position {position})"
+
     def test_nesting_cap(self):
         deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
         assert parse_polynomial(deepest) == P(0, 1)
@@ -260,6 +279,22 @@ class TestScaleCompose:
         with pytest.raises(ValueError) as exc:
             P(0, 1) ** -1
         assert str(exc.value) == "negative exponent"
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # a square after the exponent's top bit is thrown away: at e = 1000
+        # it would build a polynomial of degree 1,024
+        degrees = []
+        multiply = Polynomial.__mul__
+
+        def recording(f, g):
+            product = multiply(f, g)
+            degrees.append(product.degree)
+            return product
+
+        monkeypatch.setattr(Polynomial, "__mul__", recording)
+        assert P(1, 1) ** 1000 == P(*(math.comb(1000, k) for k in range(1001)))
+        assert max(degrees) == 1000
+        assert P(1, 1) ** 0 == P(1) and P(1, 1) ** 1 == P(1, 1)
 
 
 class TestRecord:
