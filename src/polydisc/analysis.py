@@ -175,7 +175,7 @@ def check_conjecture1(p: int, r: int, n_max: int) -> list[tuple[int, int, Kind]]
     runs = (run for run in scan(prime_power_family(p, r), n_max) if not ntheory.is_prime(run.value))
     kind = cache(partial(_classify, p=p))  # run values differ, so one classification per run
     # lemma1_bound(p, r, n) from n = 2 on, without proving p prime again
-    exceptions = _mismatches(runs, lambda n: p ** max(1, ntheory.ceil_log(p, n)))
+    exceptions = _mismatches(runs, lambda n: max(p, ntheory.ceil_power(p, n)))
     return [(n, value, kind(value)) for n, value, _ in exceptions]
 
 
@@ -295,31 +295,34 @@ def _check_formulas(cases: Sequence[tuple[str, Polynomial, Callable[[int], int]]
 SANDWICH_MAX_DEGREE = 3
 SANDWICH_COEFF_BOUND = 9
 SANDWICH_PRIMES = (2, 3, 5)
-SANDWICH_N_MAX = 40
 
 
-def sample_sandwich_trials(count: int, seed: int) -> Iterator[SandwichReport]:
-    """Seeded random (f, p, n) sandwich checks for property testing."""
+def sample_sandwich_trials(count: int, seed: int, n_max: int) -> Iterator[SandwichReport]:
+    """`count` seeded random sandwich checks (`closedform.check_theorem4`):
+    f of degree at most SANDWICH_MAX_DEGREE with coefficients in
+    +-SANDWICH_COEFF_BOUND, p from SANDWICH_PRIMES and n in 1..n_max."""
     rng = random.Random(seed)
     for _ in range(count):
         degree = rng.randint(0, SANDWICH_MAX_DEGREE)
         coeffs = [rng.randint(-SANDWICH_COEFF_BOUND, SANDWICH_COEFF_BOUND) for _ in range(degree + 1)]
         f = Polynomial.from_coeffs(coeffs)
         p = rng.choice(SANDWICH_PRIMES)
-        n = rng.randint(1, SANDWICH_N_MAX)
+        n = rng.randint(1, n_max)
         yield check_theorem4(f, p, n)
 
 
 def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAULT_SEED) -> Verdict:
     """Check one of the paper's Theorems 1-5 against the brute-force oracle.
 
-    `n_max` (default per theorem, >= 1) rises to 15 for Theorem 3, where the
-    theorem starts; Theorem 4 checks it but samples 200 seeded (f, p, n).
+    `n_max` (default per theorem, >= 1) bounds n: Theorems 1, 2 and 5 scan
+    their families to it, Theorem 3 checks 15 <= n <= max(15, n_max), where
+    the theorem starts, and Theorem 4 draws each of its 200 seeded (f, p, n)
+    with n <= n_max.
     """
     if theorem not in (1, 2, 3, 4, 5):
         raise ValueError(f"unknown theorem {theorem}")
     if n_max is None:
-        n_max = {1: 243, 2: 128, 3: 200, 5: 100}.get(theorem)
+        n_max = {1: 243, 2: 128, 3: 200, 4: 40, 5: 100}[theorem]
     elif n_max < 1:
         raise ValueError("n_max must be >= 1")
     if theorem == 3:
@@ -331,7 +334,7 @@ def verify_theorem(theorem: int, n_max: Optional[int] = None, seed: int = DEFAUL
         return Verdict(True, f"no non-prime, non-power-of-two discriminating m <= 2.4n for 15 <= n <= {n_max}")
     if theorem == 4:
         trials = 200
-        for report in sample_sandwich_trials(trials, seed):
+        for report in sample_sandwich_trials(trials, seed, n_max):
             if not report.holds:
                 return Verdict(False, (
                     f"counterexample f={report.f} p={report.p} n={report.n}: "

@@ -50,9 +50,9 @@ def sun_power_formula(d: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     if d in (2, 3):
-        return d ** ntheory.ceil_log(d, n)
+        return ntheory.ceil_power(d, n)
     if d >= 2 and d & (d - 1) == 0:
-        return 2 ** ntheory.ceil_log(2, n)
+        return ntheory.ceil_power(2, n)
     raise ValueError(f"no proven closed form for d={d} (need d in {{2, 3}} or d = 2^r)")
 
 
@@ -62,7 +62,7 @@ def lemma1_bound(p: int, r: int, n: int) -> int:
         raise ValueError(f"{p} is not prime")
     if r < 1 or n < 1:
         raise ValueError("r and n must be >= 1")
-    return p ** ntheory.ceil_log(p, n)
+    return ntheory.ceil_power(p, n)
 
 
 def bsw_discriminator(j: int, n: int) -> int:
@@ -102,20 +102,10 @@ class PrimeFamily(NamedTuple):
     modulus: int
 
 
-TWO_X_XMINUS1 = PrimeFamily(
-    "2x(x-1)", Polynomial.from_coeffs([0, -2, 2]), a=2, b=-2, c=1, residue=0, modulus=1
-)
-FOUR_X_4XMINUS1 = PrimeFamily(
-    "4x(4x-1)", Polynomial.from_coeffs([0, -4, 16]), a=8, b=-4, c=3, residue=1, modulus=4
-)
-EIGHTEEN_X_3XMINUS1 = PrimeFamily(
-    "18x(3x-1)", Polynomial.from_coeffs([0, -18, 54]), a=3, b=0, c=1, residue=1, modulus=3
-)
-
 FAMILIES = {
-    "2xx1": TWO_X_XMINUS1,
-    "4x4x1": FOUR_X_4XMINUS1,
-    "18x3x1": EIGHTEEN_X_3XMINUS1,
+    "2xx1": PrimeFamily("2x(x-1)", Polynomial.from_coeffs([0, -2, 2]), a=2, b=-2, c=1, residue=0, modulus=1),
+    "4x4x1": PrimeFamily("4x(4x-1)", Polynomial.from_coeffs([0, -4, 16]), a=8, b=-4, c=3, residue=1, modulus=4),
+    "18x3x1": PrimeFamily("18x(3x-1)", Polynomial.from_coeffs([0, -18, 54]), a=3, b=0, c=1, residue=1, modulus=3),
 }
 
 

@@ -155,18 +155,21 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def ceil_log(base: int, n: int) -> int:
-    """Smallest e >= 0 with base**e >= n, exact integer arithmetic."""
+def ceil_power(base: int, n: int) -> int:
+    """The least power base^e >= n (e >= 0), in exact integer arithmetic.
+
+    It is the quantity the paper's closed forms name: Sun's (2013)
+    d^ceil(log_d n) for x(dx - 1) with d in {2, 3}, 2^ceil(log2 n) for
+    d = 2^r, Lemma 1's bound p^ceil(log_p n) and Conjecture 1's form.
+    """
     if base < 2:
-        raise ValueError("ceil_log requires base >= 2")
+        raise ValueError("ceil_power requires base >= 2")
     if n < 1:
-        raise ValueError("ceil_log requires n >= 1")
-    e = 0
+        raise ValueError("ceil_power requires n >= 1")
     power = 1
     while power < n:
         power *= base
-        e += 1
-    return e
+    return power
 
 
 def next_prime_satisfying(lower: int, residue: int, modulus: int) -> int:

@@ -157,11 +157,19 @@ class Polynomial:
 # (`_log2_norm`), so at most MAX_BITS (512 KiB); the largest admitted power
 # of x + c is (x+17)^1000. Parentheses nest at most MAX_NESTING deep, so no
 # input exhausts Python's recursion limit.
+#
+# The caps above bound each expansion, not their number, so every admitted
+# product and power is also charged its work before it expands, against one
+# cap for the whole input, MAX_WORK (`_Parser.admit`). No expansion the size
+# caps admit passes MAX_WORK alone, so only a sum of them is refused:
+# (x+17)^1000*2 parses, and (x+17)^1000+(x+17)^1000 is refused at its second
+# power, before expanding it.
 
 MAX_EXPONENT = 1000
 MAX_DEGREE = 1000
 MAX_NESTING = 100
 MAX_BITS = 2 ** 22
+MAX_WORK = 2 ** 30
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -190,6 +198,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0  # parentheses open at the current token
+        self.work = 0  # charged by the expansions admitted so far
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -212,7 +221,8 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.take()[2]
             rhs = self.factor()
-            _check_size((acc.degree or 0) + (rhs.degree or 0), _log2_norm(acc) + _log2_norm(rhs), pos)
+            pairs = sum(map(bool, acc.coeffs)) * len(rhs.coeffs)  # as Polynomial.__mul__ skips acc's zeros
+            self.admit((acc.degree or 0) + (rhs.degree or 0), _log2_norm(acc) + _log2_norm(rhs), pairs, pos)
             acc = acc * rhs
         return acc
 
@@ -235,7 +245,11 @@ class _Parser:
             if len(value.lstrip("0")) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
                 raise PolynomialSyntaxError(f"exponent exceeds the cap {MAX_EXPONENT}", pos)
             exponent = int(value)
-            _check_size((base.degree or 0) * exponent, exponent * _log2_norm(base), pos)
+            # square-and-multiply's last product, about P^ceil(e/2) * P^floor(e/2),
+            # dominates its work; a monomial's powers stay monomials
+            d, half = base.degree or 0, exponent // 2
+            left = d * (exponent - half) + 1 if sum(map(bool, base.coeffs)) > 1 else 1
+            self.admit(d * exponent, exponent * _log2_norm(base), left * (d * half + 1), pos)
             base = base ** exponent
         return base
 
@@ -260,6 +274,27 @@ class _Parser:
             return inner
         raise PolynomialSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
+    def admit(self, degree: int, log2_norm: float, pairs: int, pos: int) -> None:
+        """Refuse a product or power of degree above MAX_DEGREE, or one whose
+        degree + 1 coefficients, each below 2^log2_norm, could take more than
+        MAX_BITS bits in all. Otherwise charge its work, `pairs` coefficient
+        products of up to that many bits, and refuse the input once its
+        expansions' work passes MAX_WORK. A product of b bits is charged b,
+        times (b / 8192)^0.585 from 8192 bits on, where CPython's Karatsuba
+        multiplication makes its cost grow as b^1.585, plus 64 for its fixed
+        cost."""
+        if degree > MAX_DEGREE:
+            raise PolynomialSyntaxError(f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
+        bits = int(log2_norm) + 1
+        size = (degree + 1) * bits
+        if size > MAX_BITS:
+            raise PolynomialSyntaxError(f"expansion of up to {size} bits exceeds the cap {MAX_BITS}", pos)
+        self.work += int(pairs * (bits * max(1, bits / 8192) ** 0.585 + 64))
+        if self.work > MAX_WORK:
+            raise PolynomialSyntaxError(
+                f"expansions take about {self.work} bit operations, over the cap {MAX_WORK}", pos
+            )
+
 
 def _too_long(digits: str, pos: int) -> PolynomialSyntaxError:
     return PolynomialSyntaxError(
@@ -272,17 +307,6 @@ def _log2_norm(poly: Polynomial) -> float:
     zero polynomial). No coefficient of P*Q exceeds |P|_1 |Q|_1, and none of
     P^e exceeds |P|_1^e."""
     return math.log2(max(1, sum(map(abs, poly.coeffs))))
-
-
-def _check_size(degree: int, log2_norm: float, pos: int) -> None:
-    """Refuse a product or power of degree above MAX_DEGREE, or one whose
-    degree + 1 coefficients, each below 2^log2_norm, could take more than
-    MAX_BITS bits in all."""
-    if degree > MAX_DEGREE:
-        raise PolynomialSyntaxError(f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
-    bits = (degree + 1) * (int(log2_norm) + 1)
-    if bits > MAX_BITS:
-        raise PolynomialSyntaxError(f"expansion of up to {bits} bits exceeds the cap {MAX_BITS}", pos)
 
 
 def parse_polynomial(text: str) -> Polynomial:

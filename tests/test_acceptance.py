@@ -133,7 +133,7 @@ def _is_power_of(n, p):
 
 def test_criterion_5_theorem4_sandwich():
     start = time.perf_counter()
-    failures = [r for r in sample_sandwich_trials(200, SEED) if not r.holds]
+    failures = [r for r in sample_sandwich_trials(200, SEED, 40) if not r.holds]
     elapsed = time.perf_counter() - start
     report(
         5,

@@ -123,6 +123,14 @@ class TestVerify:
         status, out, _ = run(capsys, "verify", "--theorem", "3", "--n-max", "50")
         assert status == 0 and "PASS" in out
 
+    def test_theorem4_draws_n_up_to_n_max(self, capsys, monkeypatch):
+        seen = []
+        real = analysis.check_theorem4
+        monkeypatch.setattr(analysis, "check_theorem4", lambda f, p, n: seen.append(n) or real(f, p, n))
+        status, out, _ = run(capsys, "verify", "--theorem", "4", "--n-max", "5")
+        assert status == 0 and out == "PASS: sandwich D_f <= D_pf <= p*D_f held for 200 random (f, p, n)\n"
+        assert len(seen) == 200 and set(seen) == {1, 2, 3, 4, 5}
+
     def test_seeded_determinism(self, capsys):
         argv = ("verify", "--theorem", "4", "--seed", "42")
         _, out1, _ = run(capsys, *argv)
@@ -174,6 +182,17 @@ class TestExitCodes:
         status, out, err = run(capsys, "compute", "--poly", "(x+2^10)^1000", "--n", "2")
         assert (status, out) == (1, "")
         assert err == "error: bad polynomial: expansion of up to 10012002 bits exceeds the cap 4194304 (at position 9)\n"
+
+    def test_sum_of_admitted_expansions(self, capsys):
+        # each (x+17)^1000 passes the size caps; without the work cap twenty
+        # of them parse for about 13 s and the run exits 0
+        poly = "+".join(["(x+17)^1000"] * 20)
+        status, out, err = run(capsys, "compute", "--poly", poly, "--n", "2")
+        assert (status, out) == (1, "")
+        assert err == (
+            "error: bad polynomial: expansions take about 2125476468 bit operations,"
+            " over the cap 1073741824 (at position 19)\n"
+        )
 
     def test_pseudoprime_p_rejected(self, capsys):
         status, out, err = run(
@@ -251,9 +270,9 @@ class TestFailurePaths:
         (3, 20, "check_theorem3", lambda real: lambda n_max: real(n_max) + [(20, 21)],
          "FAIL: counterexample n=20 m=21: discriminating but neither prime nor 2^k\n"),
         # the third of the seeded trials is reported as failing
-        (4, 1, "sample_sandwich_trials",
-         lambda real: lambda count, seed: (
-             r._replace(holds=False) if i == 2 else r for i, r in enumerate(real(count, seed))
+        (4, 40, "sample_sandwich_trials",
+         lambda real: lambda count, seed, n_max: (
+             r._replace(holds=False) if i == 2 else r for i, r in enumerate(real(count, seed, n_max))
          ),
          "FAIL: counterexample f=9*x^3 - 8*x^2 - 3*x + 5 p=3 n=30: D_f=87, D_pf=145\n"),
         (5, 12, "bsw_discriminator", lambda real: lambda j, n: real(j, n) + (n == 10),

@@ -214,12 +214,12 @@ class TestFactorize:
 class TestInputChecks:
     @pytest.mark.parametrize("call,args,message", [
         (ntheory.euler_phi, (0,), "euler_phi requires n >= 1"),
-        (ntheory.ceil_log, (1, 5), "ceil_log requires base >= 2"),
-        (ntheory.ceil_log, (2, 0), "ceil_log requires n >= 1"),
+        (ntheory.ceil_power, (1, 5), "ceil_power requires base >= 2"),
+        (ntheory.ceil_power, (2, 0), "ceil_power requires n >= 1"),
         (ntheory.next_prime_satisfying, (1, 0, 0), "modulus must be >= 1"),
         (ntheory.factorize, (ntheory.FACTOR_LIMIT,), "factorize requires 1 <= n < 1,000,000,000,000"),
         (ntheory.euler_phi, (ntheory.FACTOR_LIMIT,), "factorize requires 1 <= n < 1,000,000,000,000"),
-    ], ids=["euler_phi", "ceil_log", "ceil_log-n", "next_prime_satisfying", "factorize-limit", "euler_phi-limit"])
+    ], ids=["euler_phi", "ceil_power", "ceil_power-n", "next_prime_satisfying", "factorize-limit", "euler_phi-limit"])
     def test_refuses(self, call, args, message):
         with pytest.raises(ValueError) as exc:
             call(*args)
@@ -238,17 +238,19 @@ class TestEulerPhi:
                 assert ntheory.euler_phi(p) == p - 1
 
 
-class TestCeilLog:
+class TestCeilPower:
     def test_examples(self):
-        assert ntheory.ceil_log(2, 5) == 3
-        assert ntheory.ceil_log(3, 81) == 4
-        assert ntheory.ceil_log(3, 1) == 0
+        assert ntheory.ceil_power(2, 5) == 8
+        assert ntheory.ceil_power(3, 81) == 81
+        assert ntheory.ceil_power(10, 10 ** 30 + 1) == 10 ** 31
 
     def test_bracketing(self):
         for base in range(2, 11):
+            powers = {base ** e for e in range(15)}  # 2^14 > 10^4
+            assert ntheory.ceil_power(base, 1) == 1
             for n in range(2, 10 ** 4 + 1):
-                e = ntheory.ceil_log(base, n)
-                assert base ** (e - 1) < n <= base ** e
+                power = ntheory.ceil_power(base, n)
+                assert power in powers and power // base < n <= power
 
 
 class TestNextPrimeSatisfying:

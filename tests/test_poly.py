@@ -11,8 +11,10 @@ from polydisc.poly import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_WORK,
     Polynomial,
     PolynomialSyntaxError,
+    _Parser,
     _tokenize,
     parse_poly_input,
     parse_polynomial,
@@ -163,6 +165,28 @@ class TestParse:
                 parse_polynomial(text)
             assert exc.value.position == position
             assert str(exc.value) == f"expansion of up to {bits} bits exceeds the cap {MAX_BITS} (at position {position})"
+
+    def test_work_cap(self):
+        # the size caps bound each expansion and MAX_WORK their sum, charged
+        # before each expands: the second power here is refused unexpanded;
+        # without the work cap all five expand, in about 3.3 s
+        assert MAX_WORK == 2 ** 30
+        assert parse_polynomial("(x+17)^1000*2").coeffs[0] == 2 * 17 ** 1000
+        found = "+".join(["(x+17)^1000"] * 5)
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(found)
+        work = 2 * 501 * 501 * (4170 + 64)  # 1000 log2(18) = 4169.9
+        assert str(exc.value) == f"expansions take about {work} bit operations, over the cap {MAX_WORK} (at position 19)"
+        # a monomial's powers are charged as monomials, so x^1000 + ... + x + 1 parses
+        assert parse_polynomial("+".join(f"x^{k}" for k in range(1001))) == P(*[1] * 1001)
+        # Karatsuba's cost grows as b^1.585, and so does the charge from 8192
+        # bits on: six products of MAX_BITS bits fill the cap, not 256
+        parser, admitted = _Parser([]), 0
+        with pytest.raises(PolynomialSyntaxError, match="over the cap"):
+            while True:
+                parser.admit(0, MAX_BITS - 1, 1, 0)
+                admitted += 1
+        assert admitted == 6
 
     def test_nesting_cap(self):
         deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
